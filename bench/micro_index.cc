@@ -147,9 +147,9 @@ void BM_ScanKernel(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() * n);
 }
 
-// End-to-end Search through whichever path the index selected (fast-scan
-// shortlist + exact re-rank, or the legacy exact scan under
-// LIGHTLT_SCAN_KERNEL=off) — the user-visible number the kernels feed.
+// End-to-end Search through the kernel the index selected: quantized scan
+// with exact re-scores of the items that could still make the top-k — the
+// user-visible number the kernels feed.
 void BM_AdcSearch(benchmark::State& state) {
   Rng rng(7);
   const size_t n = static_cast<size_t>(state.range(0));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 
 #include "src/obs/profile.h"
 #include "src/util/chaos.h"
@@ -28,6 +27,13 @@ void AdcIndex::Instrument(obs::MetricsRegistry* registry,
 Result<AdcIndex> AdcIndex::Build(
     const std::vector<Matrix>& codebooks,
     const std::vector<std::vector<uint32_t>>& item_codes) {
+  return BuildStore(codebooks, item_codes, nullptr);
+}
+
+Result<AdcIndex> AdcIndex::BuildStore(
+    const std::vector<Matrix>& codebooks,
+    const std::vector<std::vector<uint32_t>>& item_codes,
+    const std::vector<std::vector<uint32_t>>* cells) {
   if (codebooks.empty()) {
     return Status::InvalidArgument("AdcIndex: no codebooks");
   }
@@ -42,59 +48,92 @@ Result<AdcIndex> AdcIndex::Build(
 
   AdcIndex idx;
   idx.codebooks_ = codebooks;
-  idx.codes_ = PackedCodes(item_codes.size(), m, k);
-  idx.recon_norms_.resize(item_codes.size());
+  const size_t n = item_codes.size();
+  if (cells != nullptr) {
+    LIGHTLT_CHECK(k <= 256);
+    std::vector<size_t> sizes;
+    for (const auto& cell : *cells) {
+      sizes.push_back(cell.size());
+      idx.ids_.insert(idx.ids_.end(), cell.begin(), cell.end());
+    }
+    LIGHTLT_CHECK(idx.ids_.size() == n);
+    idx.blocked_.assign(
+        idx.LayOutCells(sizes) * m * kernels::kBlockItems, 0);
+  } else if (k <= 256) {
+    idx.blocked_.assign(kernels::NumBlocks(n) * m * kernels::kBlockItems, 0);
+  } else {
+    idx.packed_ = PackedCodes(n, m, k);
+  }
+  idx.norms_.resize(n);
 
   std::vector<float> recon(d);
-  for (size_t i = 0; i < item_codes.size(); ++i) {
-    if (item_codes[i].size() != m) {
-      return Status::InvalidArgument("AdcIndex: item code length mismatch");
-    }
-    std::fill(recon.begin(), recon.end(), 0.0f);
-    for (size_t cb = 0; cb < m; ++cb) {
-      const uint32_t code = item_codes[i][cb];
-      if (code >= k) {
-        return Status::InvalidArgument("AdcIndex: code out of range");
+  for (const SlotRange& range : idx.AllRanges()) {
+    for (size_t slot = range.begin; slot < range.end; ++slot) {
+      const size_t pos =
+          range.first_block * kernels::kBlockItems + (slot - range.begin);
+      const std::vector<uint32_t>& codes = item_codes[idx.StoredId(slot)];
+      if (codes.size() != m) {
+        return Status::InvalidArgument("AdcIndex: item code length mismatch");
       }
-      idx.codes_.Set(i, cb, code);
-      const float* word = codebooks[cb].row(code);
-      for (size_t j = 0; j < d; ++j) recon[j] += word[j];
+      std::fill(recon.begin(), recon.end(), 0.0f);
+      for (size_t cb = 0; cb < m; ++cb) {
+        if (codes[cb] >= k) {
+          return Status::InvalidArgument("AdcIndex: code out of range");
+        }
+        idx.SetCode(slot, pos, cb, codes[cb]);
+        const float* word = codebooks[cb].row(codes[cb]);
+        for (size_t j = 0; j < d; ++j) recon[j] += word[j];
+      }
+      double norm = 0.0;
+      for (size_t j = 0; j < d; ++j) {
+        norm += static_cast<double>(recon[j]) * recon[j];
+      }
+      idx.norms_[slot] = static_cast<float>(norm);
     }
-    double norm = 0.0;
-    for (size_t j = 0; j < d; ++j) {
-      norm += static_cast<double>(recon[j]) * recon[j];
-    }
-    idx.recon_norms_[i] = static_cast<float>(norm);
   }
-  idx.BuildScanCache();
+  idx.SelectKernel();
   return idx;
 }
 
-void AdcIndex::BuildScanCache() {
-  scan_codes_.clear();
-  blocked_codes_.clear();
-  scan_kernel_ = kernels::ScanKernel{};
-  if (num_codewords() > 256) return;
-  scan_codes_.resize(codes_.num_items() * codebooks_.size());
-  uint8_t* out = scan_codes_.data();
-  codes_.ForEachCode([out, m = codebooks_.size()](size_t item, size_t cb,
-                                                  uint32_t code) {
-    out[item * m + cb] = static_cast<uint8_t>(code);
-  });
-  // When a fast-scan kernel is selected, the blocked/transposed layout
-  // replaces the item-major cache as the one scan format (exact scoring
-  // reads it strided) — the byte cost stays one byte per code plus tail
-  // padding. M > 256 could overflow the u16 accumulators, so such indexes
-  // stay on the item-major exact path.
-  if (codebooks_.size() > 256 || codes_.num_items() == 0) return;
-  scan_kernel_ = kernels::SelectScanKernel(
-      kernels::PadCodewords(num_codewords()));
-  if (scan_kernel_.fn != nullptr) {
-    kernels::BuildBlockedCodes(scan_codes_.data(), codes_.num_items(),
-                               codebooks_.size(), &blocked_codes_);
-    scan_codes_.clear();
-    scan_codes_.shrink_to_fit();
+size_t AdcIndex::LayOutCells(const std::vector<size_t>& cell_sizes) {
+  cells_.resize(cell_sizes.size());
+  size_t slot = 0;
+  size_t block = 0;
+  for (size_t c = 0; c < cell_sizes.size(); ++c) {
+    cells_[c] = {static_cast<uint32_t>(slot),
+                 static_cast<uint32_t>(slot + cell_sizes[c]),
+                 static_cast<uint32_t>(block)};
+    slot += cell_sizes[c];
+    block += kernels::NumBlocks(cell_sizes[c]);
   }
+  return block;
+}
+
+void AdcIndex::SelectKernel() {
+  // Byte codes only (K <= 256); M > 256 could overflow the u16
+  // accumulators, so such stores scan with the exact scorer.
+  scan_kernel_ = kernels::ScanKernel{};
+  if (!blocked_.empty() && codebooks_.size() <= 256) {
+    scan_kernel_ =
+        kernels::SelectScanKernel(kernels::PadCodewords(num_codewords()));
+  }
+}
+
+std::vector<SlotRange> AdcIndex::AllRanges() const {
+  if (!cells_.empty()) return cells_;
+  return {SlotRange{0, static_cast<uint32_t>(num_items()), 0}};
+}
+
+size_t AdcIndex::PositionOf(size_t slot) const {
+  if (cells_.empty()) return slot;
+  // The last cell starting at or before `slot` holds it (empty cells that
+  // share its start come first).
+  const auto cell =
+      std::prev(std::upper_bound(cells_.begin(), cells_.end(), slot,
+                                 [](size_t s, const SlotRange& range) {
+                                   return s < range.begin;
+                                 }));
+  return cell->first_block * kernels::kBlockItems + (slot - cell->begin);
 }
 
 std::vector<float> AdcIndex::BuildLookupTables(const float* query) const {
@@ -115,142 +154,30 @@ std::vector<float> AdcIndex::BuildLookupTables(const float* query) const {
   return lut;
 }
 
-void AdcIndex::ScoreRange(const float* lut, size_t begin, size_t end,
-                          float* scores) const {
-  const size_t m = codebooks_.size();
-  const size_t k = num_codewords();
-  if (!blocked_codes_.empty()) {
-    // Blocked scan cache: the same bytes as the item-major cache in
-    // fast-scan order; per item the codebooks accumulate in the same
-    // order, so scores are bit-identical to the item-major loop.
-    for (size_t i = begin; i < end; ++i) {
-      const uint8_t* base =
-          blocked_codes_.data() +
-          (i / kernels::kBlockItems) * m * kernels::kBlockItems +
-          (i % kernels::kBlockItems);
-      float dot = 0.0f;
-      for (size_t cb = 0; cb < m; ++cb) {
-        dot += lut[cb * k + base[cb * kernels::kBlockItems]];
-      }
-      scores[i] = recon_norms_[i] - 2.0f * dot;
-    }
-  } else if (!scan_codes_.empty()) {
-    // Fast path: byte-wide scan cache, no bit extraction in the hot loop.
-    const uint8_t* code_ptr = scan_codes_.data() + begin * m;
-    for (size_t i = begin; i < end; ++i) {
-      float dot = 0.0f;
-      for (size_t cb = 0; cb < m; ++cb) {
-        dot += lut[cb * k + code_ptr[cb]];
-      }
-      scores[i] = recon_norms_[i] - 2.0f * dot;
-      code_ptr += m;
-    }
-  } else {
-    // Wide-code fallback (K > 256): random-access bit extraction. Slower
-    // than the streaming cursor, but restartable at any chunk boundary.
-    for (size_t i = begin; i < end; ++i) {
-      float dot = 0.0f;
-      for (size_t cb = 0; cb < m; ++cb) {
-        dot += lut[cb * k + codes_.Get(i, cb)];
-      }
-      scores[i] = recon_norms_[i] - 2.0f * dot;
-    }
-  }
-}
-
 void AdcIndex::ComputeScores(const float* query,
                              std::vector<float>* scores) const {
-  // Legacy uncontrolled scan (eval, RankAll): one uninterrupted pass, no
-  // lifecycle checks and no chaos instrumentation.
+  // Uncontrolled exhaustive scoring (eval, RankAll): one uninterrupted
+  // exact pass, no lifecycle checks and no chaos instrumentation.
   const std::vector<float> lut = BuildLookupTables(query);
   obs::ProfilePhase scan_phase("adc_scan");
-  scores->resize(codes_.num_items());
-  ScoreRange(lut.data(), 0, codes_.num_items(), scores->data());
-}
-
-Status AdcIndex::ComputeScores(const float* query, std::vector<float>* scores,
-                               const ScanControl& control) const {
-  const size_t n = codes_.num_items();
-  std::vector<float> lut;
-  {
-    obs::ProfilePhase lut_phase("lut_build");
-    lut = BuildLookupTables(query);
-  }
-  if (control.stats != nullptr) control.stats->lut_builds += 1;
-  obs::ProfilePhase scan_phase("adc_scan");
-  scores->resize(n);
-  if (control.Trivial() && !ChaosArmed()) {
-    // Telemetry stays chunk-granular even here: the whole scan is one
-    // chunk, so the hot loop itself carries no per-vector instrumentation.
-    ScopedTimer timer(instruments_.chunk_seconds);
-    ScoreRange(lut.data(), 0, n, scores->data());
-    if (instruments_.enabled()) {
-      instruments_.chunks->Increment();
-      instruments_.items->Increment(n);
-    }
-    if (control.stats != nullptr) {
-      control.stats->chunks += 1;
-      control.stats->items += n;
-    }
-    return Status::Ok();
-  }
-  // Score score_i = ||o_i||^2 - 2 sum_cb lut[code] in chunks, polling the
-  // control between chunks: an expired or cancelled request overshoots its
-  // budget by at most one chunk of scoring work.
-  const size_t chunk = std::max<size_t>(1, control.check_every_items);
-  for (size_t begin = 0; begin < n; begin += chunk) {
-    if (begin > 0) {
-      const Status check = control.Check();
-      if (!check.ok()) {
-        // The request's budget ran out mid-scan: the chunk just scored was
-        // the overshoot DESIGN.md §9 bounds.
-        if (instruments_.enabled()) instruments_.overshoot->Increment();
-        return check;
-      }
-    }
-    LIGHTLT_RETURN_IF_ERROR(ChaosOnScanChunk());
-    const size_t end = std::min(begin + chunk, n);
-    ScopedTimer timer(instruments_.chunk_seconds);
-    ScoreRange(lut.data(), begin, end, scores->data());
-    if (instruments_.enabled()) {
-      instruments_.chunks->Increment();
-      instruments_.items->Increment(end - begin);
-    }
-    if (control.stats != nullptr) {
-      control.stats->chunks += 1;
-      control.stats->items += end - begin;
+  scores->resize(num_items());
+  for (const SlotRange& range : AllRanges()) {
+    const size_t base = range.first_block * kernels::kBlockItems;
+    for (size_t slot = range.begin; slot < range.end; ++slot) {
+      (*scores)[StoredId(slot)] =
+          ExactScore(lut.data(), slot, base + (slot - range.begin));
     }
   }
-  return Status::Ok();
 }
 
-std::vector<SearchHit> AdcIndex::TopKFromScores(
-    const std::vector<float>& scores, size_t top_k) {
-  const size_t k = std::min(top_k, scores.size());
-  std::vector<uint32_t> ids(scores.size());
-  std::iota(ids.begin(), ids.end(), 0u);
-  // Ties at the k boundary break by ascending id: the selection is then a
-  // pure function of the scores, stable across runs and across the
-  // flat/IVF/fast-scan paths (a tie flip here would otherwise read as a
-  // spurious shadow-recall miss).
-  std::partial_sort(ids.begin(), ids.begin() + k, ids.end(),
-                    [&](uint32_t a, uint32_t b) {
-                      return scores[a] < scores[b] ||
-                             (scores[a] == scores[b] && a < b);
-                    });
-  std::vector<SearchHit> hits(k);
-  for (size_t i = 0; i < k; ++i) hits[i] = {ids[i], scores[ids[i]]};
-  return hits;
-}
-
-Result<std::vector<SearchHit>> AdcIndex::SearchFastScan(
-    const float* query, size_t top_k, const ScanControl* control) const {
-  const size_t n = codes_.num_items();
+Result<std::vector<SearchHit>> AdcIndex::Scan(
+    const float* query, size_t top_k, std::span<const SlotRange> ranges,
+    const ScanControl& control, const ScanInstruments& instruments,
+    bool ivf_cells) const {
+  if (top_k == 0) return std::vector<SearchHit>{};
   const size_t m = codebooks_.size();
   const size_t k = num_codewords();
-  const size_t keep = std::min(top_k, n);
-  if (keep == 0) return std::vector<SearchHit>{};
-
+  const bool fast = scan_kernel_.fn != nullptr;
   std::vector<float> lut;
   kernels::QuantizedLut qlut;
   {
@@ -258,141 +185,149 @@ Result<std::vector<SearchHit>> AdcIndex::SearchFastScan(
     // separate per-query constructions in the resource vector.
     obs::ProfilePhase lut_phase("lut_build");
     lut = BuildLookupTables(query);
-    qlut = kernels::QuantizeLut(lut.data(), m, k);
+    if (fast) qlut = kernels::QuantizeLut(lut.data(), m, k);
   }
-  if (control != nullptr && control->stats != nullptr) {
-    control->stats->lut_builds += 2;
-  }
-  const size_t blocks = kernels::NumBlocks(n);
-  std::vector<uint16_t> sums(blocks * kernels::kBlockItems);
-  std::optional<obs::ProfilePhase> scan_phase;
-  scan_phase.emplace("adc_scan");
+  if (control.stats != nullptr) control.stats->lut_builds += fast ? 2 : 1;
+  const float bound = qlut.ScoreErrorBound();
 
-  // Quantized pass. Chunking stays item-granular — ceil(n / check_every)
-  // logical chunks, each polling deadline/cancellation and running the
-  // chaos hook — exactly like the exact scan, so deadline overshoot and
-  // injected per-chunk latency are independent of the 32-item kernel block
-  // size. Kernel blocks advance lazily underneath the chunk accounting: a
-  // chunk runs every not-yet-scored block it overlaps (at most one partial
-  // block of read-ahead when check_every < kBlockItems).
-  const size_t check_every =
-      control == nullptr ? n : std::max<size_t>(1, control->check_every_items);
-  size_t next_block = 0;
-  for (size_t chunk_begin = 0; chunk_begin < n; chunk_begin += check_every) {
-    if (control != nullptr && chunk_begin > 0) {
-      const Status check = control->Check();
-      if (!check.ok()) {
-        if (instruments_.enabled()) instruments_.overshoot->Increment();
-        return check;
+  // Running top-k: a worst-on-top heap of exact (distance, stored id) —
+  // O(top_k) state however many items the ranges hold.
+  const auto better = [this](const SearchHit& a, const SearchHit& b) {
+    return a.distance < b.distance ||
+           (a.distance == b.distance && StoredId(a.id) < StoredId(b.id));
+  };
+  std::vector<SearchHit> heap;
+  heap.reserve(std::min(top_k, num_items()));
+  const auto offer = [&](SearchHit hit) {
+    if (heap.size() < top_k) {
+      heap.push_back(hit);
+      std::push_heap(heap.begin(), heap.end(), better);
+    } else if (better(hit, heap.front())) {
+      std::pop_heap(heap.begin(), heap.end(), better);
+      heap.back() = hit;
+      std::push_heap(heap.begin(), heap.end(), better);
+    }
+  };
+
+  // Chunks of check_every_items never span ranges, and every range is at
+  // least one chunk: the control is polled between chunks (an expired or
+  // cancelled request overshoots by at most one chunk, DESIGN.md §9) and
+  // the chaos hook and telemetry run once per chunk — nothing per item.
+  // The kernel scores the blocks a chunk overlaps; a block split between
+  // two chunks is scored twice, to the same sums.
+  const size_t chunk = std::max<size_t>(1, control.check_every_items);
+  std::vector<uint16_t> sums;
+  size_t ranges_done = 0;
+  size_t items_done = 0;
+  size_t rescored = 0;
+  Status status;
+  obs::ProfilePhase scan_phase(ivf_cells ? "ivf_scan" : "adc_scan");
+  for (const SlotRange& range : ranges) {
+    const size_t base = range.first_block * kernels::kBlockItems;
+    size_t begin = range.begin;
+    do {
+      if (items_done > 0 || ranges_done > 0) {
+        status = control.Check();
+        if (!status.ok()) {
+          if (instruments.enabled()) instruments.overshoot->Increment();
+          break;
+        }
       }
-    }
-    if (control != nullptr) LIGHTLT_RETURN_IF_ERROR(ChaosOnScanChunk());
-    const size_t chunk_end = std::min(chunk_begin + check_every, n);
-    const size_t block_end = std::min(kernels::NumBlocks(chunk_end), blocks);
-    if (block_end > next_block) {
-      ScopedTimer timer(control == nullptr ? nullptr
-                                           : instruments_.chunk_seconds);
-      scan_kernel_.fn(blocked_codes_.data() +
-                          next_block * m * kernels::kBlockItems,
-                      block_end - next_block, m, qlut.k_padded,
-                      qlut.table.data(),
-                      sums.data() + next_block * kernels::kBlockItems);
-      next_block = block_end;
-    }
-    if (control != nullptr) {
-      if (instruments_.enabled()) {
-        instruments_.chunks->Increment();
-        instruments_.items->Increment(chunk_end - chunk_begin);
+      status = ChaosOnScanChunk();
+      if (!status.ok()) break;
+      const size_t end = std::min<size_t>(begin + chunk, range.end);
+      ScopedTimer timer(instruments.chunk_seconds);
+      if (fast) {
+        // Quantized scores first; only items whose approximate score could
+        // still make the heap (|approx - exact| <= bound, DESIGN.md §12)
+        // are scored exactly, so the heap equals the all-float scan's.
+        const size_t first = (begin - range.begin) / kernels::kBlockItems;
+        const size_t last = kernels::NumBlocks(end - range.begin);
+        sums.resize((last - first) * kernels::kBlockItems);
+        if (last > first) {
+          scan_kernel_.fn(blocked_.data() + (range.first_block + first) * m *
+                                                kernels::kBlockItems,
+                          last - first, m, qlut.k_padded, qlut.table.data(),
+                          sums.data());
+        }
+        const size_t sum0 = range.begin + first * kernels::kBlockItems;
+        for (size_t slot = begin; slot < end; ++slot) {
+          const float approx =
+              norms_[slot] -
+              2.0f * (static_cast<float>(sums[slot - sum0]) * qlut.scale +
+                      qlut.bias_sum);
+          if (heap.size() == top_k && approx - bound > heap.front().distance) {
+            continue;
+          }
+          ++rescored;
+          offer({static_cast<uint32_t>(slot),
+                 ExactScore(lut.data(), slot, base + (slot - range.begin))});
+        }
+      } else {
+        for (size_t slot = begin; slot < end; ++slot) {
+          offer({static_cast<uint32_t>(slot),
+                 ExactScore(lut.data(), slot, base + (slot - range.begin))});
+        }
+        rescored += end - begin;
       }
-      if (control->stats != nullptr) {
-        control->stats->chunks += 1;
-        control->stats->items += chunk_end - chunk_begin;
+      if (instruments.enabled()) {
+        instruments.chunks->Increment();
+        instruments.items->Increment(end - begin);
       }
-    }
+      if (control.stats != nullptr) {
+        control.stats->chunks += 1;
+        control.stats->items += end - begin;
+      }
+      items_done += end - begin;
+      begin = end;
+    } while (begin < range.end);
+    if (!status.ok()) break;
+    ++ranges_done;
   }
 
-  // Approximate scores from the integer sums. The reconstruction error is
-  // bounded by qlut.ScoreErrorBound() (DESIGN.md §12), which is what makes
-  // the shortlist below provably cover the exact top-k.
-  std::vector<float> approx(n);
-  for (size_t i = 0; i < n; ++i) {
-    approx[i] = recon_norms_[i] -
-                2.0f * (static_cast<float>(sums[i]) * qlut.scale +
-                        qlut.bias_sum);
-  }
-
-  // Shortlist: every item whose approximate score could still beat the
-  // k-th best after both errors are unwound — exact <= approx + B and
-  // kth_exact <= kth_approx + B, so the cut is kth_approx + 2B.
-  std::vector<float> order(approx);
-  std::nth_element(order.begin(), order.begin() + (keep - 1), order.end());
-  const float tau = order[keep - 1] + 2.0f * qlut.ScoreErrorBound();
-  std::vector<uint32_t> shortlist;
-  shortlist.reserve(keep * 2);
-  for (size_t i = 0; i < n; ++i) {
-    if (approx[i] <= tau) shortlist.push_back(static_cast<uint32_t>(i));
-  }
-
-  // Exact float re-rank of the shortlist, accumulating in the same
-  // codebook order as ScoreRange so the scores are bit-identical to the
-  // exact scalar scan. Usually |shortlist| ~ top_k; a degenerate LUT
-  // (scale 0) can shortlist broadly, so keep polling the control.
-  scan_phase.reset();
-  obs::ProfilePhase rerank_phase("rerank");
-  if (control != nullptr && control->stats != nullptr) {
-    control->stats->shortlist += shortlist.size();
-    control->stats->codes_decoded += shortlist.size() * m;
-  }
-  std::vector<float> exact(shortlist.size());
-  for (size_t s = 0; s < shortlist.size(); ++s) {
-    if (control != nullptr && s > 0 && s % check_every == 0) {
-      LIGHTLT_RETURN_IF_ERROR(control->Check());
+  // Probe breadth and exact re-score counts cover whatever was scanned,
+  // on the early-out paths too, so those distributions are not biased
+  // toward fast queries.
+  if (ivf_cells) {
+    if (instruments.probed_cells != nullptr) {
+      instruments.probed_cells->Record(static_cast<double>(ranges_done));
     }
-    const uint32_t id = shortlist[s];
-    const uint8_t* base =
-        blocked_codes_.data() +
-        (id / kernels::kBlockItems) * m * kernels::kBlockItems +
-        (id % kernels::kBlockItems);
-    float dot = 0.0f;
-    for (size_t cb = 0; cb < m; ++cb) {
-      dot += lut[cb * k + base[cb * kernels::kBlockItems]];
+    if (instruments.scanned_fraction != nullptr && num_items() > 0) {
+      instruments.scanned_fraction->Record(static_cast<double>(items_done) /
+                                           static_cast<double>(num_items()));
     }
-    exact[s] = recon_norms_[id] - 2.0f * dot;
   }
-  std::vector<uint32_t> ranked(shortlist.size());
-  std::iota(ranked.begin(), ranked.end(), 0u);
-  const size_t out_k = std::min(keep, ranked.size());
-  std::partial_sort(ranked.begin(), ranked.begin() + out_k, ranked.end(),
-                    [&](uint32_t a, uint32_t b) {
-                      return exact[a] < exact[b] ||
-                             (exact[a] == exact[b] &&
-                              shortlist[a] < shortlist[b]);
-                    });
-  std::vector<SearchHit> hits(out_k);
-  for (size_t i = 0; i < out_k; ++i) {
-    hits[i] = {shortlist[ranked[i]], exact[ranked[i]]};
+  if (control.stats != nullptr) {
+    if (ivf_cells) control.stats->probed_cells += ranges_done;
+    control.stats->shortlist += rescored;
+    control.stats->codes_decoded += rescored * m;
   }
+  if (!status.ok()) return status;
+  std::sort_heap(heap.begin(), heap.end(), better);
+  return heap;
+}
+
+Result<std::vector<SearchHit>> AdcIndex::SearchSlots(
+    const float* query, size_t top_k, const ScanControl& control) const {
+  return Scan(query, top_k, AllRanges(), control, instruments_,
+              /*ivf_cells=*/false);
+}
+
+void AdcIndex::ToStoredIds(std::vector<SearchHit>* hits) const {
+  for (SearchHit& hit : *hits) hit.id = StoredId(hit.id);
+}
+
+Result<std::vector<SearchHit>> AdcIndex::Search(
+    const float* query, size_t top_k, const ScanControl& control) const {
+  auto hits = SearchSlots(query, top_k, control);
+  if (hits.ok()) ToStoredIds(&hits.value());
   return hits;
 }
 
 std::vector<SearchHit> AdcIndex::Search(const float* query,
                                         size_t top_k) const {
-  if (FastScanEnabled()) {
-    // Uncontrolled flavour: no polling, chaos, or instrumentation, so the
-    // only failure paths are compiled out — value() is always present.
-    return SearchFastScan(query, top_k, nullptr).value();
-  }
-  std::vector<float> scores;
-  ComputeScores(query, &scores);
-  return TopKFromScores(scores, top_k);
-}
-
-Result<std::vector<SearchHit>> AdcIndex::Search(
-    const float* query, size_t top_k, const ScanControl& control) const {
-  if (FastScanEnabled()) return SearchFastScan(query, top_k, &control);
-  std::vector<float> scores;
-  LIGHTLT_RETURN_IF_ERROR(ComputeScores(query, &scores, control));
-  return TopKFromScores(scores, top_k);
+  auto hits = Search(query, top_k, ScanControl{});
+  return hits.ok() ? std::move(hits).value() : std::vector<SearchHit>{};
 }
 
 std::vector<uint32_t> AdcIndex::RankAll(const float* query) const {
@@ -406,10 +341,11 @@ std::vector<uint32_t> AdcIndex::RankAll(const float* query) const {
   return ids;
 }
 
-Matrix AdcIndex::Reconstruct(size_t item) const {
+Matrix AdcIndex::Reconstruct(size_t slot) const {
+  const size_t pos = PositionOf(slot);
   Matrix out(1, dim());
   for (size_t cb = 0; cb < codebooks_.size(); ++cb) {
-    const float* word = codebooks_[cb].row(codes_.Get(item, cb));
+    const float* word = codebooks_[cb].row(CodeAt(slot, pos, cb));
     for (size_t j = 0; j < dim(); ++j) out[j] += word[j];
   }
   return out;
@@ -418,16 +354,10 @@ Matrix AdcIndex::Reconstruct(size_t item) const {
 size_t AdcIndex::MemoryBytes() const {
   size_t bytes = 0;
   for (const auto& cb : codebooks_) bytes += cb.size() * sizeof(float);
-  // Operational code storage: exactly one scan cache is live — the blocked
-  // fast-scan layout (item-major bytes plus tail padding) when a kernel is
-  // selected, else the byte-wide item-major cache (equal to the packed
-  // array at the paper's K=256), else the packed bits.
-  if (!blocked_codes_.empty()) {
-    bytes += blocked_codes_.size();
-  } else {
-    bytes += scan_codes_.empty() ? codes_.MemoryBytes() : scan_codes_.size();
-  }
-  bytes += recon_norms_.size() * sizeof(float);
+  bytes += blocked_.size() + packed_.MemoryBytes();
+  bytes += norms_.size() * sizeof(float);
+  bytes += ids_.size() * sizeof(uint32_t);
+  bytes += cells_.size() * sizeof(SlotRange);
   return bytes;
 }
 
@@ -449,6 +379,20 @@ constexpr uint32_t kAdcVersion = 3;
 }  // namespace
 
 Status AdcIndex::Save(const std::string& path) const {
+  if (!cells_.empty()) {
+    return Status::FailedPrecondition(
+        "AdcIndex: a cell-ordered store is saved by its IVF index");
+  }
+  // Codes are bit-packed on disk whatever the in-memory layout.
+  PackedCodes repacked;
+  if (!blocked_.empty()) {
+    repacked = PackedCodes(num_items(), num_codebooks(), num_codewords());
+    for (size_t i = 0; i < num_items(); ++i) {
+      for (size_t cb = 0; cb < num_codebooks(); ++cb) {
+        repacked.Set(i, cb, CodeAt(i, i, cb));
+      }
+    }
+  }
   BinaryWriter writer(path);
   writer.WriteU32(kAdcMagicV2);
   writer.WriteU32(kAdcVersion);
@@ -459,8 +403,8 @@ Status AdcIndex::Save(const std::string& path) const {
     writer.WriteU64(cb.cols());
     writer.WriteF32Vector(cb.storage());
   }
-  codes_.Save(writer);
-  writer.WriteF32Vector(recon_norms_);
+  (blocked_.empty() ? packed_ : repacked).Save(writer);
+  writer.WriteF32Vector(norms_);
   return writer.Close();
 }
 
@@ -516,28 +460,38 @@ Result<AdcIndex> AdcIndex::Load(const std::string& path) {
   }
   auto codes = PackedCodes::Load(reader);
   if (!codes.ok()) return codes.status();
-  idx.codes_ = std::move(codes).value();
-  if (idx.codes_.num_codebooks() != m || idx.codes_.num_codewords() > k) {
+  PackedCodes packed = std::move(codes).value();
+  if (packed.num_codebooks() != m || packed.num_codewords() > k) {
     return Status::IoError("AdcIndex: codes/codebook mismatch");
   }
   // Packed code values index the lookup table rows; a corrupt bit pattern
-  // above k would read past the table.
+  // above k would read past the table, so every code is range-checked as
+  // it moves into the blocked store.
+  const size_t n = packed.num_items();
+  if (k <= 256) {
+    idx.blocked_.assign(kernels::NumBlocks(n) * m * kernels::kBlockItems, 0);
+  }
   bool codes_in_range = true;
-  idx.codes_.ForEachCode([&](size_t, size_t, uint32_t code) {
-    if (code >= k) codes_in_range = false;
+  packed.ForEachCode([&](size_t item, size_t cb, uint32_t code) {
+    if (code >= k) {
+      codes_in_range = false;
+    } else if (!idx.blocked_.empty()) {
+      idx.SetCode(item, item, cb, code);
+    }
   });
   if (!codes_in_range) {
     return Status::IoError("AdcIndex: stored code out of range");
   }
-  idx.recon_norms_ = reader.ReadF32Vector();
+  if (idx.blocked_.empty()) idx.packed_ = std::move(packed);
+  idx.norms_ = reader.ReadF32Vector();
   if (!reader.status().ok()) return reader.status();
-  if (idx.recon_norms_.size() != idx.codes_.num_items()) {
+  if (idx.norms_.size() != n) {
     return Status::IoError("AdcIndex: norm table size mismatch");
   }
   Status integrity =
       version >= 2 ? reader.VerifyFooter() : reader.ExpectEof();
   if (!integrity.ok()) return integrity;
-  idx.BuildScanCache();
+  idx.SelectKernel();
   return idx;
 }
 

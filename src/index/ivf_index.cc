@@ -1,15 +1,12 @@
 #include "src/index/ivf_index.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "src/clustering/kmeans.h"
 #include "src/obs/profile.h"
 #include "src/util/chaos.h"
-#include "src/util/check.h"
 #include "src/util/io.h"
-#include "src/util/timer.h"
 
 namespace lightlt::index {
 
@@ -36,23 +33,20 @@ Result<IvfAdcIndex> IvfAdcIndex::Build(
     return Status::InvalidArgument(
         "IvfAdcIndex: embeddings/codes count mismatch");
   }
-  const size_t m = codebooks.size();
-  const size_t k = codebooks[0].rows();
-  const size_t d = codebooks[0].cols();
-  if (k > 256) {
+  if (codebooks[0].rows() > 256) {
     return Status::InvalidArgument(
         "IvfAdcIndex: K > 256 not supported by the byte-code cells");
   }
-  for (const auto& book : codebooks) {
-    if (book.rows() != k || book.cols() != d) {
-      return Status::InvalidArgument("IvfAdcIndex: codebook shape mismatch");
-    }
+  // Centroids take the embeddings' width and route queries of the
+  // codebooks' width.
+  const size_t d = codebooks[0].cols();
+  if (embeddings.cols() != d) {
+    return Status::InvalidArgument(
+        "IvfAdcIndex: embeddings/codebooks dimension mismatch");
   }
 
   IvfAdcIndex idx;
   idx.options_ = options;
-  idx.codebooks_ = codebooks;
-  idx.total_items_ = item_codes.size();
 
   // Coarse quantizer over the continuous embeddings.
   clustering::KMeansOptions km;
@@ -62,13 +56,9 @@ Result<IvfAdcIndex> IvfAdcIndex::Build(
   const auto coarse = clustering::KMeans(embeddings, km);
   idx.centroids_ = coarse.centroids;
 
-  const size_t cells = idx.centroids_.rows();
-  idx.cell_ids_.resize(cells);
-  idx.cell_codes_.resize(cells);
-  idx.cell_norms_.resize(cells);
-
   // ||centroid||^2 is query-independent; computing it here instead of per
   // query keeps the cell-ranking loop in Search to one dot product per cell.
+  const size_t cells = idx.centroids_.rows();
   idx.centroid_norms_.resize(cells);
   for (size_t c = 0; c < cells; ++c) {
     const float* centroid = idx.centroids_.row(c);
@@ -77,37 +67,14 @@ Result<IvfAdcIndex> IvfAdcIndex::Build(
     idx.centroid_norms_[c] = norm;
   }
 
-  // Gather item-major codes per cell first; the scan layout is blocked.
-  std::vector<std::vector<uint8_t>> item_major(cells);
-  std::vector<float> recon(d);
+  // The store lays the items out cell by cell, in id order within a cell.
+  std::vector<std::vector<uint32_t>> cell_ids(cells);
   for (size_t i = 0; i < item_codes.size(); ++i) {
-    if (item_codes[i].size() != m) {
-      return Status::InvalidArgument("IvfAdcIndex: item code length mismatch");
-    }
-    const uint32_t cell = coarse.assignments[i];
-    idx.cell_ids_[cell].push_back(static_cast<uint32_t>(i));
-    std::fill(recon.begin(), recon.end(), 0.0f);
-    for (size_t cb = 0; cb < m; ++cb) {
-      const uint32_t code = item_codes[i][cb];
-      if (code >= k) {
-        return Status::InvalidArgument("IvfAdcIndex: code out of range");
-      }
-      item_major[cell].push_back(static_cast<uint8_t>(code));
-      const float* word = codebooks[cb].row(code);
-      for (size_t j = 0; j < d; ++j) recon[j] += word[j];
-    }
-    double norm = 0.0;
-    for (size_t j = 0; j < d; ++j) {
-      norm += static_cast<double>(recon[j]) * recon[j];
-    }
-    idx.cell_norms_[cell].push_back(static_cast<float>(norm));
+    cell_ids[coarse.assignments[i]].push_back(static_cast<uint32_t>(i));
   }
-  for (size_t c = 0; c < cells; ++c) {
-    kernels::BuildBlockedCodes(item_major[c].data(),
-                               idx.cell_ids_[c].size(), m,
-                               &idx.cell_codes_[c]);
-  }
-  idx.SelectKernel();
+  auto store = AdcIndex::BuildStore(codebooks, item_codes, &cell_ids);
+  if (!store.ok()) return store.status();
+  idx.store_ = std::move(store).value();
   return idx;
 }
 
@@ -121,205 +88,70 @@ std::vector<SearchHit> IvfAdcIndex::Search(const float* query, size_t top_k,
   return result.ok() ? std::move(result).value() : std::vector<SearchHit>{};
 }
 
-namespace {
-
-/// Strict weak order "a is a better hit than b": ascending distance, ties
-/// by ascending id — the shared tie-break of every scan path (a tie flip
-/// between the flat and IVF paths reads as a spurious shadow-recall miss).
-bool BetterHit(const SearchHit& a, const SearchHit& b) {
-  return a.distance < b.distance ||
-         (a.distance == b.distance && a.id < b.id);
-}
-
-}  // namespace
-
-float IvfAdcIndex::ExactCellScore(uint32_t cell, size_t i, const float* lut,
-                                  size_t k) const {
-  const size_t m = codebooks_.size();
-  const uint8_t* base = cell_codes_[cell].data() +
-                        (i / kernels::kBlockItems) * m * kernels::kBlockItems +
-                        (i % kernels::kBlockItems);
-  float dot = 0.0f;
-  for (size_t cb = 0; cb < m; ++cb) {
-    dot += lut[cb * k + base[cb * kernels::kBlockItems]];
-  }
-  return cell_norms_[cell][i] - 2.0f * dot;
-}
-
-void IvfAdcIndex::RecordProbeStats(size_t cells_scanned,
-                                   size_t items_scanned) const {
-  if (probed_cells_ != nullptr) {
-    probed_cells_->Record(static_cast<double>(cells_scanned));
-  }
-  if (scanned_fraction_ != nullptr && total_items_ > 0) {
-    scanned_fraction_->Record(static_cast<double>(items_scanned) /
-                              static_cast<double>(total_items_));
-  }
-}
-
 Result<std::vector<SearchHit>> IvfAdcIndex::Search(
     const float* query, size_t top_k, const ScanControl& control,
     size_t nprobe_override) const {
-  LIGHTLT_RETURN_IF_ERROR(ChaosOnIvfSearch());
-  const size_t m = codebooks_.size();
-  const size_t k = codebooks_.empty() ? 0 : codebooks_[0].rows();
-  const size_t d = codebooks_.empty() ? 0 : codebooks_[0].cols();
-  const size_t nprobe = std::min(
-      nprobe_override == 0 ? options_.nprobe : nprobe_override,
-      centroids_.rows());
+  auto hits = SearchSlots(query, top_k, control, nprobe_override);
+  if (hits.ok()) store_.ToStoredIds(&hits.value());
+  return hits;
+}
 
-  // Rank cells by centroid distance (rank-equivalent form).
-  std::vector<float> cell_scores(centroids_.rows());
-  std::vector<uint32_t> cell_order(centroids_.rows());
+Result<std::vector<SearchHit>> IvfAdcIndex::SearchSlots(
+    const float* query, size_t top_k, const ScanControl& control,
+    size_t nprobe_override) const {
+  LIGHTLT_RETURN_IF_ERROR(ChaosOnIvfSearch());
+  const size_t cells = centroids_.rows();
+  const size_t d = centroids_.cols();
+  const size_t nprobe = std::min(
+      nprobe_override == 0 ? options_.nprobe : nprobe_override, cells);
+
+  // Rank cells by centroid distance (rank-equivalent form); the nearest
+  // nprobe cells are the ranges the store scans.
+  std::vector<SlotRange> probes(nprobe);
   {
     obs::ProfilePhase route_phase("ivf_route");
-    for (size_t c = 0; c < centroids_.rows(); ++c) {
+    std::vector<float> cell_scores(cells);
+    for (size_t c = 0; c < cells; ++c) {
       const float* centroid = centroids_.row(c);
       float dot = 0.0f;
       for (size_t j = 0; j < d; ++j) dot += query[j] * centroid[j];
       cell_scores[c] = centroid_norms_[c] - 2.0f * dot;
     }
+    std::vector<uint32_t> cell_order(cells);
     std::iota(cell_order.begin(), cell_order.end(), 0u);
     std::partial_sort(cell_order.begin(), cell_order.begin() + nprobe,
                       cell_order.end(), [&](uint32_t a, uint32_t b) {
                         return cell_scores[a] < cell_scores[b] ||
                                (cell_scores[a] == cell_scores[b] && a < b);
                       });
-  }
-
-  // Shared lookup tables, as in the flat ADC scan (§IV-B), plus their
-  // quantized form when a fast-scan kernel is selected.
-  std::vector<float> lut(m * k);
-  {
-    obs::ProfilePhase lut_phase("lut_build");
-    for (size_t cb = 0; cb < m; ++cb) {
-      const Matrix& book = codebooks_[cb];
-      float* row = lut.data() + cb * k;
-      for (size_t j = 0; j < k; ++j) {
-        const float* word = book.row(j);
-        float acc = 0.0f;
-        for (size_t t = 0; t < d; ++t) acc += query[t] * word[t];
-        row[j] = acc;
-      }
+    for (size_t p = 0; p < nprobe; ++p) {
+      probes[p] = store_.cells_[cell_order[p]];
     }
   }
-  kernels::QuantizedLut qlut;
-  if (control.stats != nullptr) control.stats->lut_builds += 1;
-  if (scan_kernel_.fn != nullptr) {
-    obs::ProfilePhase lut_phase("lut_build");
-    qlut = kernels::QuantizeLut(lut.data(), m, k);
-    if (control.stats != nullptr) control.stats->lut_builds += 1;
-  }
-  const float bound = qlut.ScoreErrorBound();
-
-  // Scan the probed cells keeping a bounded worst-on-top heap of the best
-  // top_k seen so far — O(top_k) state instead of materializing every
-  // scanned item. Each cell is one cooperative chunk: the control is
-  // polled between cells, so expiry or cancellation overshoots by at most
-  // one cell's scan; the probe-breadth histograms record whatever was
-  // actually scanned, on the early-out paths too, so those distributions
-  // are not biased toward fast queries. Telemetry is likewise per-cell —
-  // the inner scoring loop carries no instrumentation.
-  std::vector<SearchHit> heap;
-  heap.reserve(top_k);
-  std::vector<uint16_t> sums;
-  size_t items_scanned = 0;
-  obs::ProfilePhase scan_phase("ivf_scan");
-  for (size_t p = 0; p < nprobe; ++p) {
-    if (p > 0) {
-      const Status check = control.Check();
-      if (!check.ok()) {
-        if (instruments_.enabled()) instruments_.overshoot->Increment();
-        RecordProbeStats(p, items_scanned);
-        return check;
-      }
-    }
-    {
-      const Status chaos = ChaosOnScanChunk();
-      if (!chaos.ok()) {
-        RecordProbeStats(p, items_scanned);
-        return chaos;
-      }
-    }
-    const uint32_t cell = cell_order[p];
-    const auto& ids = cell_ids_[cell];
-    const auto& norms = cell_norms_[cell];
-    ScopedTimer timer(instruments_.chunk_seconds);
-    const auto offer = [&](size_t i, float exact) {
-      if (top_k == 0) return;
-      const SearchHit hit{ids[i], exact};
-      if (heap.size() < top_k) {
-        heap.push_back(hit);
-        std::push_heap(heap.begin(), heap.end(), BetterHit);
-      } else if (BetterHit(hit, heap.front())) {
-        std::pop_heap(heap.begin(), heap.end(), BetterHit);
-        heap.back() = hit;
-        std::push_heap(heap.begin(), heap.end(), BetterHit);
-      }
-    };
-    size_t decoded = 0;
-    if (scan_kernel_.fn != nullptr && top_k > 0) {
-      // Quantized cell scan: integer sums first, then an exact float
-      // re-score of only the items whose approximate score could still
-      // make the heap (|approx - exact| <= bound, DESIGN.md §12) — so the
-      // heap contents equal the all-float scan's.
-      const size_t blocks = kernels::NumBlocks(ids.size());
-      sums.resize(blocks * kernels::kBlockItems);
-      scan_kernel_.fn(cell_codes_[cell].data(), blocks, m, qlut.k_padded,
-                      qlut.table.data(), sums.data());
-      for (size_t i = 0; i < ids.size(); ++i) {
-        const float approx =
-            norms[i] - 2.0f * (static_cast<float>(sums[i]) * qlut.scale +
-                               qlut.bias_sum);
-        if (heap.size() == top_k && approx - bound > heap.front().distance) {
-          continue;
-        }
-        ++decoded;
-        offer(i, ExactCellScore(cell, i, lut.data(), k));
-      }
-    } else {
-      decoded = ids.size();
-      for (size_t i = 0; i < ids.size(); ++i) {
-        offer(i, ExactCellScore(cell, i, lut.data(), k));
-      }
-    }
-    items_scanned += ids.size();
-    if (instruments_.enabled()) {
-      instruments_.chunks->Increment();
-      instruments_.items->Increment(ids.size());
-    }
-    if (control.stats != nullptr) {
-      control.stats->chunks += 1;
-      control.stats->items += ids.size();
-      control.stats->probed_cells += 1;
-      // Exact re-scores expand m codes per offered item — the part of the
-      // quantized path the integer kernel could not prune.
-      control.stats->codes_decoded += decoded * m;
-    }
-  }
-  RecordProbeStats(nprobe, items_scanned);
-  std::sort_heap(heap.begin(), heap.end(), BetterHit);
-  return heap;
+  return store_.Scan(query, top_k, probes, control, instruments_,
+                     /*ivf_cells=*/true);
 }
 
 double IvfAdcIndex::ExpectedScanFraction(size_t nprobe_override) const {
-  if (total_items_ == 0) return 0.0;
+  if (num_items() == 0) return 0.0;
   const size_t cells = centroids_.rows();
   const size_t d = centroids_.cols();
   const size_t nprobe = std::min(
       nprobe_override == 0 ? options_.nprobe : nprobe_override, cells);
+  const auto cell_items = [this](size_t c) {
+    return static_cast<double>(store_.cells_[c].end - store_.cells_[c].begin);
+  };
 
   // For a query whose nearest centroid is cell c, Search scans the nprobe
   // cells closest to the query — approximated here by the nprobe cells
   // closest to centroid c. Weight each seed cell by its own item mass (the
   // empirical query distribution), giving the mass-aware expectation rather
   // than the uniform nprobe/cells estimate.
-  const double total = static_cast<double>(total_items_);
+  const double total = static_cast<double>(num_items());
   double expected = 0.0;
   std::vector<std::pair<float, uint32_t>> by_dist(cells);
   for (size_t c = 0; c < cells; ++c) {
-    const double seed_weight =
-        static_cast<double>(cell_ids_[c].size()) / total;
+    const double seed_weight = cell_items(c) / total;
     if (seed_weight == 0.0) continue;
     const float* seed = centroids_.row(c);
     for (size_t o = 0; o < cells; ++o) {
@@ -333,7 +165,7 @@ double IvfAdcIndex::ExpectedScanFraction(size_t nprobe_override) const {
                       by_dist.end());
     double scanned = 0.0;
     for (size_t p = 0; p < nprobe; ++p) {
-      scanned += static_cast<double>(cell_ids_[by_dist[p].second].size());
+      scanned += cell_items(by_dist[p].second);
     }
     expected += seed_weight * (scanned / total);
   }
@@ -344,23 +176,15 @@ namespace {
 // Format: magic, u32 version, payload, checksum footer. Footered from its
 // first version (there are no legacy IVF files). v2 stores cell codes in
 // the blocked fast-scan layout (preceded by its block width) instead of
-// item-major bytes, so a load pays no repacking; v1 files are repacked on
-// load.
+// item-major bytes — exactly the cell's slice of the store's blocked
+// array, so a load pays no repacking; v1 files are repacked on load.
 constexpr uint32_t kIvfMagic = 0x4c54'4956;  // "LTIV"
 constexpr uint32_t kIvfVersion = 2;
 }  // namespace
 
-void IvfAdcIndex::SelectKernel() {
-  // K <= 256 is an IVF build invariant; M > 256 would overflow the u16
-  // accumulators, so such indexes stay on the exact float path.
-  scan_kernel_ = kernels::ScanKernel{};
-  if (codebooks_.size() <= 256 && !codebooks_.empty()) {
-    scan_kernel_ =
-        kernels::SelectScanKernel(kernels::PadCodewords(codebooks_[0].rows()));
-  }
-}
-
 Status IvfAdcIndex::Save(const std::string& path) const {
+  const AdcIndex& s = store_;
+  const size_t block_bytes = s.num_codebooks() * kernels::kBlockItems;
   BinaryWriter writer(path);
   writer.WriteU32(kIvfMagic);
   writer.WriteU32(kIvfVersion);
@@ -369,21 +193,26 @@ Status IvfAdcIndex::Save(const std::string& path) const {
   writer.WriteU64(options_.nprobe);
   writer.WriteI64(options_.kmeans_iterations);
   writer.WriteU64(options_.seed);
-  writer.WriteU64(total_items_);
+  writer.WriteU64(num_items());
   writer.WriteU64(centroids_.rows());
   writer.WriteU64(centroids_.cols());
   writer.WriteF32Vector(centroids_.storage());
   writer.WriteF32Vector(centroid_norms_);
-  writer.WriteU64(codebooks_.size());
-  for (const auto& cb : codebooks_) {
+  writer.WriteU64(s.codebooks_.size());
+  for (const auto& cb : s.codebooks_) {
     writer.WriteU64(cb.rows());
     writer.WriteU64(cb.cols());
     writer.WriteF32Vector(cb.storage());
   }
-  for (size_t c = 0; c < cell_ids_.size(); ++c) {
-    writer.WriteU32Vector(cell_ids_[c]);
-    writer.WriteBytes(cell_codes_[c]);
-    writer.WriteF32Vector(cell_norms_[c]);
+  for (const SlotRange& cell : s.cells_) {
+    const auto codes =
+        s.blocked_.begin() + cell.first_block * block_bytes;
+    writer.WriteU32Vector(std::vector<uint32_t>(
+        s.ids_.begin() + cell.begin, s.ids_.begin() + cell.end));
+    writer.WriteBytes(std::vector<uint8_t>(
+        codes, codes + kernels::NumBlocks(cell.end - cell.begin) * block_bytes));
+    writer.WriteF32Vector(std::vector<float>(
+        s.norms_.begin() + cell.begin, s.norms_.begin() + cell.end));
   }
   return writer.Close();
 }
@@ -414,7 +243,7 @@ Result<IvfAdcIndex> IvfAdcIndex::Load(const std::string& path) {
   idx.options_.kmeans_iterations =
       static_cast<int>(reader.ReadI64());
   idx.options_.seed = reader.ReadU64();
-  idx.total_items_ = reader.ReadU64();
+  const size_t total_items = reader.ReadU64();
   const size_t cells = reader.ReadU64();
   const size_t d = reader.ReadU64();
   if (!reader.status().ok()) return reader.status();
@@ -434,11 +263,12 @@ Result<IvfAdcIndex> IvfAdcIndex::Load(const std::string& path) {
     return Status::IoError("IvfAdcIndex: centroid norm table mismatch");
   }
 
+  AdcIndex& store = idx.store_;
   const size_t m = reader.ReadU64();
   if (!reader.status().ok()) return reader.status();
   if (m == 0 || m > 4096) return Status::IoError("IvfAdcIndex: corrupt M");
   size_t k = 0;
-  idx.codebooks_.reserve(m);
+  store.codebooks_.reserve(m);
   for (size_t i = 0; i < m; ++i) {
     const size_t rows = reader.ReadU64();
     const size_t cols = reader.ReadU64();
@@ -455,27 +285,27 @@ Result<IvfAdcIndex> IvfAdcIndex::Load(const std::string& path) {
     } else if (rows != k || cols != d) {
       return Status::IoError("IvfAdcIndex: codebook shape mismatch");
     }
-    idx.codebooks_.emplace_back(rows, cols, std::move(data));
+    store.codebooks_.emplace_back(rows, cols, std::move(data));
   }
 
-  idx.cell_ids_.resize(cells);
-  idx.cell_codes_.resize(cells);
-  idx.cell_norms_.resize(cells);
-  uint64_t items_seen = 0;
+  // Cell payloads are appended to the store cell after cell: each one is
+  // the cell's slice of the blocked array, starting on a block boundary.
+  std::vector<size_t> sizes(cells);
+  std::vector<uint8_t> blocked;
   for (size_t c = 0; c < cells; ++c) {
-    idx.cell_ids_[c] = reader.ReadU32Vector();
+    std::vector<uint32_t> ids = reader.ReadU32Vector();
     std::vector<uint8_t> codes = reader.ReadBytes();
-    idx.cell_norms_[c] = reader.ReadF32Vector();
+    std::vector<float> norms = reader.ReadF32Vector();
     if (!reader.status().ok()) return reader.status();
-    const size_t n = idx.cell_ids_[c].size();
+    const size_t n = ids.size();
     const size_t expected_bytes =
         version >= 2 ? kernels::NumBlocks(n) * m * kernels::kBlockItems
                      : n * m;
-    if (codes.size() != expected_bytes || idx.cell_norms_[c].size() != n) {
+    if (codes.size() != expected_bytes || norms.size() != n) {
       return Status::IoError("IvfAdcIndex: cell payload size mismatch");
     }
-    for (const uint32_t id : idx.cell_ids_[c]) {
-      if (id >= idx.total_items_) {
+    for (const uint32_t id : ids) {
+      if (id >= total_items) {
         return Status::IoError("IvfAdcIndex: cell id out of range");
       }
     }
@@ -486,38 +316,36 @@ Result<IvfAdcIndex> IvfAdcIndex::Load(const std::string& path) {
         return Status::IoError("IvfAdcIndex: stored code out of range");
       }
     }
-    if (version >= 2) {
-      idx.cell_codes_[c] = std::move(codes);
-    } else {
-      kernels::BuildBlockedCodes(codes.data(), n, m, &idx.cell_codes_[c]);
+    if (version < 2) {
+      std::vector<uint8_t> item_major = std::move(codes);
+      kernels::BuildBlockedCodes(item_major.data(), n, m, &codes);
     }
-    items_seen += n;
+    sizes[c] = n;
+    store.ids_.insert(store.ids_.end(), ids.begin(), ids.end());
+    store.norms_.insert(store.norms_.end(), norms.begin(), norms.end());
+    blocked.insert(blocked.end(), codes.begin(), codes.end());
   }
-  if (items_seen != idx.total_items_) {
+  if (store.ids_.size() != total_items) {
     return Status::IoError("IvfAdcIndex: item count mismatch");
   }
   LIGHTLT_RETURN_IF_ERROR(reader.VerifyFooter());
-  idx.SelectKernel();
+  store.LayOutCells(sizes);
+  store.blocked_ = std::move(blocked);
+  store.SelectKernel();
   return idx;
 }
 
 void IvfAdcIndex::Instrument(obs::MetricsRegistry* registry,
                              const std::string& prefix) {
   instruments_.Register(registry, prefix);
-  probed_cells_ = registry->GetHistogram(prefix + "probed_cells");
-  scanned_fraction_ = registry->GetHistogram(prefix + "scanned_fraction");
+  instruments_.probed_cells = registry->GetHistogram(prefix + "probed_cells");
+  instruments_.scanned_fraction =
+      registry->GetHistogram(prefix + "scanned_fraction");
 }
 
 size_t IvfAdcIndex::MemoryBytes() const {
-  size_t bytes = centroids_.size() * sizeof(float);
-  bytes += centroid_norms_.size() * sizeof(float);
-  for (const auto& book : codebooks_) bytes += book.size() * sizeof(float);
-  for (size_t c = 0; c < cell_ids_.size(); ++c) {
-    bytes += cell_ids_[c].size() * sizeof(uint32_t);
-    bytes += cell_codes_[c].size();
-    bytes += cell_norms_[c].size() * sizeof(float);
-  }
-  return bytes;
+  return (centroids_.size() + centroid_norms_.size()) * sizeof(float) +
+         store_.MemoryBytes();
 }
 
 }  // namespace lightlt::index

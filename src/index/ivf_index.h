@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/index/adc_index.h"
-#include "src/index/kernels/scan_kernels.h"
 #include "src/tensor/matrix.h"
 #include "src/util/deadline.h"
 #include "src/util/status.h"
@@ -35,9 +34,11 @@ struct IvfOptions {
   Status Validate() const;
 };
 
-/// Inverted-file index over quantization codes. Build with the database's
-/// *continuous* embeddings (for the coarse quantizer) plus the same
-/// codebooks/codes an AdcIndex would take.
+/// Inverted-file index over quantization codes: the coarse centroids plus
+/// one AdcIndex built in cell order, whose block-aligned cells are the
+/// inverted lists (DESIGN.md §12). Build with the database's *continuous*
+/// embeddings (for the coarse quantizer) plus the same codebooks/codes an
+/// AdcIndex would take.
 class IvfAdcIndex {
  public:
   /// `embeddings` are the n continuous vectors (used only to train and
@@ -53,14 +54,20 @@ class IvfAdcIndex {
   std::vector<SearchHit> Search(const float* query, size_t top_k,
                                 size_t nprobe_override = 0) const;
 
-  /// Control-aware Search: polls deadline/cancellation between probed
-  /// cells (each cell is one scan chunk), and runs the chaos IVF hooks —
-  /// an injected IVF failure surfaces here as kUnavailable, which the
-  /// serving circuit breaker counts. On success, may still return fewer
-  /// than top_k hits when the probed cells are short (caller degrades).
+  /// Control-aware Search: polls deadline/cancellation between scan chunks
+  /// (a chunk never spans cells), and runs the chaos IVF hooks — an
+  /// injected IVF failure surfaces here as kUnavailable, which the serving
+  /// circuit breaker counts. On success, may still return fewer than top_k
+  /// hits when the probed cells are short (caller degrades).
   Result<std::vector<SearchHit>> Search(const float* query, size_t top_k,
                                         const ScanControl& control,
                                         size_t nprobe_override) const;
+
+  /// Search with hits in store slots (see AdcIndex::SearchSlots).
+  Result<std::vector<SearchHit>> SearchSlots(const float* query,
+                                             size_t top_k,
+                                             const ScanControl& control,
+                                             size_t nprobe_override) const;
 
   /// Expected fraction of the database scanned per query (diagnostic; cell
   /// balance determines the real speedup over exhaustive ADC). Uses actual
@@ -69,10 +76,15 @@ class IvfAdcIndex {
   /// by the cell's own mass).
   double ExpectedScanFraction(size_t nprobe_override = 0) const;
 
-  size_t num_items() const { return total_items_; }
+  size_t num_items() const { return store_.num_items(); }
   size_t num_cells() const { return centroids_.rows(); }
 
-  /// Codebooks + packed per-cell codes + centroids + id lists.
+  /// The cell-ordered code store. Searching it directly scans every cell —
+  /// the exhaustive fallback over the same codes.
+  const AdcIndex& store() const { return store_; }
+  AdcIndex& store() { return store_; }
+
+  /// Centroids + their norms + the store's exact bytes.
   size_t MemoryBytes() const;
 
   /// Versioned binary persistence (checksummed footer, atomic write).
@@ -80,8 +92,9 @@ class IvfAdcIndex {
   static Result<IvfAdcIndex> Load(const std::string& path);
 
   /// Registers `{prefix}scan_*` chunk telemetry plus `{prefix}probed_cells`
-  /// and `{prefix}scanned_fraction` histograms, recorded per successful
-  /// search. Instruments are not persisted — call again after Load. Not
+  /// and `{prefix}scanned_fraction` histograms, recorded per search (early
+  /// returns included). The store's own flat-scan instruments are separate.
+  /// Instruments are not persisted — call again after Load. Not
   /// thread-safe against in-flight searches; the registry must outlive the
   /// index.
   void Instrument(obs::MetricsRegistry* registry, const std::string& prefix);
@@ -90,35 +103,11 @@ class IvfAdcIndex {
   IvfAdcIndex() = default;
 
   IvfOptions options_;
-  Matrix centroids_;                 // num_cells x d
+  Matrix centroids_;                   // num_cells x d
   std::vector<float> centroid_norms_;  // ||centroid_c||^2, fixed at Build
-  std::vector<Matrix> codebooks_;    // M x (K x d)
-  /// Picks the fast-scan kernel for this K (Build/Load epilogue).
-  void SelectKernel();
-
-  /// Exact float score of item `i` of `cell` against per-query LUTs —
-  /// the same codebook-order accumulation as the flat ADC scan, read
-  /// strided out of the blocked cell layout.
-  float ExactCellScore(uint32_t cell, size_t i, const float* lut,
-                       size_t k) const;
-
-  /// Records the probe-breadth histograms for one (possibly cut-short)
-  /// search: cells fully scanned and items scored before the scan ended.
-  void RecordProbeStats(size_t cells_scanned, size_t items_scanned) const;
-
-  /// Per cell: original database ids, their codes in the fast-scan blocked
-  /// layout (kernels::BuildBlockedCodes — NumBlocks(n)*M*32 bytes, tail
-  /// lanes zero), and per-item reconstruction norms.
-  std::vector<std::vector<uint32_t>> cell_ids_;
-  std::vector<std::vector<uint8_t>> cell_codes_;
-  std::vector<std::vector<float>> cell_norms_;    // ||o_i||^2 per item
-  size_t total_items_ = 0;
-  /// Kernel selected for this K at Build/Load (fn null = exact path only).
-  kernels::ScanKernel scan_kernel_;
-  /// Per-cell chunk telemetry plus probe-breadth histograms (DESIGN.md §10).
+  AdcIndex store_;                     // cell c = store_.cells_[c]
+  /// Per-chunk telemetry plus probe-breadth histograms (DESIGN.md §10).
   ScanInstruments instruments_;
-  obs::Histogram* probed_cells_ = nullptr;
-  obs::Histogram* scanned_fraction_ = nullptr;
 };
 
 }  // namespace lightlt::index

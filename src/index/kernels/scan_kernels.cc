@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "src/index/kernels/scan_isa.h"
 
@@ -122,25 +121,7 @@ ScanKernel ScanKernelByName(const std::string& name, size_t k_padded) {
   return {};
 }
 
-const std::string& ScanKernelMode() {
-  static const std::string mode = [] {
-    const char* env = std::getenv("LIGHTLT_SCAN_KERNEL");
-    return std::string(env == nullptr || *env == '\0' ? "auto" : env);
-  }();
-  return mode;
-}
-
 ScanKernel SelectScanKernel(size_t k_padded) {
-  if (k_padded == 0) return {};
-  const std::string& mode = ScanKernelMode();
-  if (mode == "off") return {};
-  if (mode != "auto") {
-    ScanKernel named = ScanKernelByName(mode, k_padded);
-    if (named.fn != nullptr) return named;
-    // Unsupported/unknown override: fail safe to scalar, never silently
-    // back to SIMD (the override exists to pin the path under test).
-    return ScanKernelByName("scalar", k_padded);
-  }
   for (const Family& f : kFamilies) {
     if (!f.supported()) continue;
     AccumulateFn fn = f.kernel_for(k_padded);

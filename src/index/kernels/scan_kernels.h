@@ -83,7 +83,7 @@ using AccumulateFn = void (*)(const uint8_t* blocked, size_t num_blocks,
 
 /// A selected kernel: the function plus the name it was selected under
 /// ("scalar", "avx2", "avx512", "neon"). fn == nullptr means the fast-scan
-/// path is disabled (k too wide, or LIGHTLT_SCAN_KERNEL=off).
+/// path is disabled (K > 256, or an index with M > 256).
 struct ScanKernel {
   AccumulateFn fn = nullptr;
   const char* name = "off";
@@ -97,15 +97,9 @@ bool ScanKernelSupported(const std::string& name);
 /// "scalar" always resolves for k_padded in {16, 64, 256}.
 ScanKernel ScanKernelByName(const std::string& name, size_t k_padded);
 
-/// Startup selection: the fastest supported kernel for k_padded, honouring
-/// the LIGHTLT_SCAN_KERNEL environment override (read once per process):
-///   auto (default) | scalar | avx2 | avx512 | neon | off
-/// An override naming an unsupported family falls back to scalar rather
-/// than silently re-enabling SIMD.
+/// Startup selection: the fastest kernel this CPU supports at k_padded
+/// (fn == nullptr only when k_padded is 0).
 ScanKernel SelectScanKernel(size_t k_padded);
-
-/// The resolved override mode ("auto" unless the env var says otherwise).
-const std::string& ScanKernelMode();
 
 /// Names with an implementation compiled in and runnable on this CPU, in
 /// preference order (bench registration, diagnostics).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/obs/profile.h"
 #include "src/util/chaos.h"
 #include "src/util/check.h"
 #include "src/util/timer.h"
@@ -42,9 +43,8 @@ Result<ReplicaSearcher> ReplicaSearcher::Build(
     searcher.ivf_ =
         std::make_unique<index::IvfAdcIndex>(std::move(ivf).value());
     searcher.breaker_ = std::make_shared<CircuitBreaker>(options.breaker);
+    return searcher;
   }
-  // The flat ADC index is always kept: it serves re-ranking lookups
-  // (Reconstruct) and is the fallback scan path.
   auto adc = index::AdcIndex::Build(codebooks, codes);
   if (!adc.ok()) return adc.status();
   searcher.adc_ = std::make_unique<index::AdcIndex>(std::move(adc).value());
@@ -53,8 +53,10 @@ Result<ReplicaSearcher> ReplicaSearcher::Build(
 
 void ReplicaSearcher::InstrumentScans(obs::MetricsRegistry* registry,
                                       const std::string& prefix) {
-  adc_->Instrument(registry, prefix + "adc_");
-  if (ivf_ != nullptr) ivf_->Instrument(registry, prefix + "ivf_");
+  if (ivf_ == nullptr) return adc_->Instrument(registry, prefix + "adc_");
+  // The fallback scans the IVF store whole; it reports as a flat scan.
+  ivf_->store().Instrument(registry, prefix + "adc_");
+  ivf_->Instrument(registry, prefix + "ivf_");
 }
 
 Result<std::vector<index::SearchHit>> ReplicaSearcher::Search(
@@ -66,18 +68,20 @@ Result<std::vector<index::SearchHit>> ReplicaSearcher::Search(
   const bool rerank = options_.exact_rerank && !degraded;
   const size_t pool = std::max(top_k, rerank ? options_.rerank_pool : top_k);
 
+  // Hits stay in store slots until the re-rank has reconstructed them.
+  const index::AdcIndex& codes = store();
   std::vector<index::SearchHit> hits;
   bool have_hits = false;
   if (ivf_ != nullptr && !degraded) {
     obs::Span ivf_span = MaybeSpan(trace, "ivf_route", parent);
-    // Graceful degradation: the flat ADC index covers the whole partition,
-    // so if the IVF path fails or its probed cells yield fewer candidates
-    // than the flat scan would, fall back rather than fail or silently
+    // Graceful degradation: the store covers the whole partition, so if
+    // the IVF path fails or its probed cells yield fewer candidates than a
+    // scan of every cell would, fall back rather than fail or silently
     // shortchange the caller. Repeated failures open the breaker, which
-    // routes straight to the flat scan until a cooldown probe succeeds.
-    const size_t expected = std::min(pool, adc_->num_items());
+    // routes straight to the full scan until a cooldown probe succeeds.
+    const size_t expected = std::min(pool, codes.num_items());
     if (breaker_->AllowRequest()) {
-      auto ivf_hits = ivf_->Search(query, pool, control, /*nprobe=*/0);
+      auto ivf_hits = ivf_->SearchSlots(query, pool, control, /*nprobe=*/0);
       if (ivf_hits.ok()) {
         if (ivf_hits.value().size() >= expected) {
           breaker_->RecordSuccess();
@@ -103,24 +107,25 @@ Result<std::vector<index::SearchHit>> ReplicaSearcher::Search(
   }
   if (!have_hits) {
     obs::Span scan_span = MaybeSpan(trace, "adc_scan", parent);
-    auto flat = adc_->Search(query, pool, control);
+    auto flat = codes.SearchSlots(query, pool, control);
     if (!flat.ok()) return flat.status();
     hits = std::move(flat).value();
   }
 
   if (rerank) {
     obs::Span rerank_span = MaybeSpan(trace, "rerank", parent);
+    obs::ProfilePhase rerank_phase("rerank");
     // Re-rank the pool by exact distance to the reconstructions: the ADC
     // score already is that distance up to a query-constant, so re-ranking
     // only matters when the candidate pool came from a lossier path (IVF
     // probing) or a future approximate scorer; it is cheap either way.
-    const size_t d = adc_->dim();
+    const size_t d = codes.dim();
     for (size_t i = 0; i < hits.size(); ++i) {
       if (i % kRerankCheckEvery == 0 && !control.Trivial()) {
         LIGHTLT_RETURN_IF_ERROR(control.Check());
       }
       auto& hit = hits[i];
-      const Matrix recon = adc_->Reconstruct(hit.id);
+      const Matrix recon = codes.Reconstruct(hit.id);
       float dist = 0.0f;
       for (size_t j = 0; j < d; ++j) {
         const float diff = query[j] - recon[j];
@@ -128,6 +133,9 @@ Result<std::vector<index::SearchHit>> ReplicaSearcher::Search(
       }
       hit.distance = dist;
     }
+  }
+  codes.ToStoredIds(&hits);
+  if (rerank) {
     std::sort(hits.begin(), hits.end(),
               [](const index::SearchHit& a, const index::SearchHit& b) {
                 return a.distance < b.distance ||
@@ -137,12 +145,6 @@ Result<std::vector<index::SearchHit>> ReplicaSearcher::Search(
 
   if (hits.size() > top_k) hits.resize(top_k);
   return hits;
-}
-
-size_t ReplicaSearcher::MemoryBytes() const {
-  size_t bytes = adc_ ? adc_->MemoryBytes() : 0;
-  if (ivf_) bytes += ivf_->MemoryBytes();
-  return bytes;
 }
 
 Result<ShardSet> ShardSet::Build(

@@ -1,11 +1,12 @@
 // Sharded search building blocks (DESIGN.md §13).
 //
 // ReplicaSearcher is the single-partition search engine extracted from
-// RetrievalService: a flat ADC index that always covers its partition, an
-// optional IVF accelerator behind a CircuitBreaker, and the optional exact
-// re-rank — with the same degradation ladder (breaker-gated IVF → flat
-// fallback) and the same deterministic (distance, id) ordering. One
-// RetrievalService owns exactly one; a ShardSet owns a grid of them.
+// RetrievalService: one code store covering its partition — a flat ADC
+// index, or the cell-ordered store of an IVF index behind a CircuitBreaker
+// — and the optional exact re-rank, with the same degradation ladder
+// (breaker-gated IVF → scan of every cell) and the same deterministic
+// (distance, id) ordering. One RetrievalService owns exactly one; a
+// ShardSet owns a grid of them.
 //
 // ShardSet partitions a database's rows into `num_shards` contiguous
 // ranges and builds `num_replicas` independent ReplicaSearcher copies per
@@ -50,8 +51,9 @@ struct SearcherOptions {
   CircuitBreakerOptions breaker;
 };
 
-/// One partition's breaker-gated search engine: flat ADC (always present),
-/// optional IVF, optional exact re-rank. Moveable; not copyable.
+/// One partition's breaker-gated search engine over one code store: flat
+/// ADC, or IVF whose store a flat fallback scans whole; optional exact
+/// re-rank. Moveable; not copyable.
 class ReplicaSearcher {
  public:
   /// `embedded` is the partition's embedded vectors (rows of the database
@@ -87,10 +89,12 @@ class ReplicaSearcher {
     flat_fallbacks_ = counter;
   }
 
-  size_t num_items() const { return adc_ ? adc_->num_items() : 0; }
-  size_t dim() const { return adc_ ? adc_->dim() : 0; }
-  size_t MemoryBytes() const;
-  Matrix Reconstruct(size_t item) const { return adc_->Reconstruct(item); }
+  size_t num_items() const { return store().num_items(); }
+  size_t dim() const { return store().dim(); }
+  /// Exactly the one index's bytes (the IVF index's when enabled).
+  size_t MemoryBytes() const {
+    return ivf_ ? ivf_->MemoryBytes() : adc_->MemoryBytes();
+  }
   bool has_ivf() const { return ivf_ != nullptr; }
   /// Null unless IVF is enabled. Shared so callback gauges can co-own it.
   const std::shared_ptr<CircuitBreaker>& breaker() const { return breaker_; }
@@ -101,8 +105,11 @@ class ReplicaSearcher {
  private:
   ReplicaSearcher() = default;
 
+  /// The one code store: the IVF index's, else the flat index.
+  const index::AdcIndex& store() const { return ivf_ ? ivf_->store() : *adc_; }
+
   SearcherOptions options_;
-  std::unique_ptr<index::AdcIndex> adc_;
+  std::unique_ptr<index::AdcIndex> adc_;     // null when IVF is enabled
   std::unique_ptr<index::IvfAdcIndex> ivf_;
   std::shared_ptr<CircuitBreaker> breaker_;  // null unless IVF enabled
   obs::Counter* flat_fallbacks_ = nullptr;   // null until instrumented

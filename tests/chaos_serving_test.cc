@@ -23,6 +23,7 @@
 #include "src/util/chaos.h"
 #include "src/util/deadline.h"
 #include "src/util/retry.h"
+#include "src/util/rng.h"
 
 namespace lightlt::serving {
 namespace {
@@ -519,6 +520,66 @@ TEST(ChaosServingTest, DegradedFallbackCountersMatchRegistryExactly) {
                            ->Snapshot();
   EXPECT_EQ(latency.count, stats.served);
   EXPECT_EQ(stats.served_latency.count, stats.served);
+}
+
+// The flat fallback of an IVF searcher scans every cell of the IVF
+// index's own store: with the IVF path failed through ChaosOnIvfSearch it
+// must return exactly what a flat-only searcher over the same codes does —
+// ids and distances bit for bit, with and without the exact re-rank.
+TEST(ChaosServingTest, IvfFallbackMatchesFlatSearcherBitForBit) {
+  ChaosGuard guard;
+  Rng rng(91);
+  const size_t n = 300, m = 3, k = 16, d = 8;
+  const Matrix embedded = Matrix::RandomGaussian(n, d, rng);
+  std::vector<Matrix> codebooks;
+  for (size_t cb = 0; cb < m; ++cb) {
+    codebooks.push_back(Matrix::RandomGaussian(k, d, rng));
+  }
+  std::vector<std::vector<uint32_t>> codes(n, std::vector<uint32_t>(m));
+  for (auto& item : codes) {
+    for (auto& c : item) c = static_cast<uint32_t>(rng.NextIndex(k));
+  }
+  for (size_t i = 0; i < n; i += 5) codes[i] = codes[i / 3];  // tied scores
+
+  for (const bool rerank : {false, true}) {
+    SearcherOptions flat_opts;
+    flat_opts.exact_rerank = rerank;
+    flat_opts.rerank_pool = 30;
+    SearcherOptions ivf_opts = flat_opts;
+    ivf_opts.use_ivf = true;
+    ivf_opts.ivf.num_cells = 12;
+    ivf_opts.ivf.nprobe = 2;
+    ivf_opts.breaker.failure_threshold = 1000;  // every query tries IVF
+    auto flat = ReplicaSearcher::Build(embedded, codebooks, codes, flat_opts);
+    auto ivf = ReplicaSearcher::Build(embedded, codebooks, codes, ivf_opts);
+    ASSERT_TRUE(flat.ok() && ivf.ok());
+
+    const size_t queries = 8;
+    ChaosPlan plan;
+    plan.ivf_fail_first_n = static_cast<int>(queries);
+    ArmChaos(plan);
+    for (size_t q = 0; q < queries; ++q) {
+      const Matrix query = Matrix::RandomGaussian(1, d, rng);
+      bool fallback = false;
+      auto got = ivf.value().Search(query.data(), 10, ScanControl{},
+                                    /*degraded=*/false, nullptr, nullptr,
+                                    &fallback);
+      auto want = flat.value().Search(query.data(), 10, ScanControl{},
+                                      /*degraded=*/false, nullptr, nullptr,
+                                      nullptr);
+      ASSERT_TRUE(got.ok() && want.ok());
+      EXPECT_TRUE(fallback);
+      ASSERT_EQ(got.value().size(), want.value().size());
+      for (size_t i = 0; i < want.value().size(); ++i) {
+        EXPECT_EQ(got.value()[i].id, want.value()[i].id)
+            << "rerank=" << rerank << " q=" << q << " i=" << i;
+        EXPECT_EQ(got.value()[i].distance, want.value()[i].distance)
+            << "rerank=" << rerank << " q=" << q << " i=" << i;
+      }
+    }
+    EXPECT_EQ(ChaosCountersSnapshot().ivf_failures_injected, queries);
+    DisarmChaos();
+  }
 }
 
 // The PoolStarver chaos tool really occupies workers: queued work does not

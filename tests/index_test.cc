@@ -185,21 +185,30 @@ TEST(FlatIndexTieTest, TiedDistancesBreakByAscendingId) {
 }
 
 TEST_F(AdcIndexTest, MemoryAccountingMatchesFormula) {
+  // 4KMd + code storage + 4n (§IV-A), the exact sum of what the index
+  // holds. With K <= 256 the codes live once, in the blocked fast-scan
+  // layout: one byte per code — the packed size at the paper's K=256 —
+  // plus tail-block padding (§12).
   auto built = AdcIndex::Build(codebooks_, codes_);
   ASSERT_TRUE(built.ok());
-  // 4KMd + code storage + 4n (§IV-A). Operationally the index scans a
-  // byte-wide code array — one byte per code, equal to the packed size at
-  // the paper's K=256 setting — in blocked fast-scan order (tail block
-  // padded) when a kernel is selected, item-major otherwise (§12).
-  const size_t codebook_bytes = 4 * kK * kM * kD;
-  const size_t norm_bytes = 4 * kN;
-  const bool fast_scan =
-      std::string(built.value().scan_kernel_name()) != "off";
-  const size_t scan_bytes =
-      fast_scan ? kernels::NumBlocks(kN) * kM * kernels::kBlockItems
-                : kN * kM;
   EXPECT_EQ(built.value().MemoryBytes(),
-            codebook_bytes + norm_bytes + scan_bytes);
+            4 * kK * kM * kD +
+                kernels::NumBlocks(kN) * kM * kernels::kBlockItems + 4 * kN);
+
+  // K > 256 has no byte codes: the packed bits are the store.
+  const size_t wide_k = 300;
+  Rng rng(43);
+  std::vector<Matrix> wide_books;
+  for (size_t m = 0; m < kM; ++m) {
+    wide_books.push_back(Matrix::RandomGaussian(wide_k, kD, rng));
+  }
+  auto wide_codes = codes_;
+  for (auto& item : wide_codes) item[0] = wide_k - 1;
+  auto wide = AdcIndex::Build(wide_books, wide_codes);
+  ASSERT_TRUE(wide.ok());
+  EXPECT_EQ(wide.value().MemoryBytes(),
+            4 * wide_k * kM * kD + PackedCodes(kN, kM, wide_k).MemoryBytes() +
+                4 * kN);
 }
 
 TEST_F(AdcIndexTest, SaveLoadRoundTrip) {

@@ -9,7 +9,9 @@
 #include <string>
 
 #include "src/baselines/shallow_quant.h"
+#include "src/clustering/kmeans.h"
 #include "src/index/adc_index.h"
+#include "src/serving/shard.h"
 #include "src/util/rng.h"
 
 namespace lightlt::index {
@@ -76,7 +78,9 @@ TEST(IvfAdcIndexTest, FullProbeMatchesExhaustiveAdc) {
   const auto adc_hits = adc.value().Search(q.data(), 20);
   ASSERT_EQ(ivf_hits.size(), adc_hits.size());
   for (size_t i = 0; i < ivf_hits.size(); ++i) {
-    EXPECT_NEAR(ivf_hits[i].distance, adc_hits[i].distance, 1e-3f);
+    EXPECT_EQ(ivf_hits[i].id, adc_hits[i].id) << "i=" << i;
+    // The same codes scored by the same routine: bit-identical.
+    EXPECT_EQ(ivf_hits[i].distance, adc_hits[i].distance) << "i=" << i;
   }
 }
 
@@ -155,14 +159,47 @@ TEST(IvfAdcIndexTest, RejectsMalformedInput) {
 }
 
 TEST(IvfAdcIndexTest, MemoryAccountedAndPositive) {
-  auto f = MakeFixture(120, 2, 8, 6, 8);
+  const size_t n = 120, m = 2, k = 8, d = 6;
+  auto f = MakeFixture(n, m, k, d, 8);
   IvfOptions opts;
   opts.num_cells = 8;
   opts.nprobe = 2;
   auto idx = IvfAdcIndex::Build(f.embeddings, f.codebooks, f.codes, opts);
   ASSERT_TRUE(idx.ok());
-  // At least codes (n*m bytes) + ids (4n) + norms (4n).
-  EXPECT_GE(idx.value().MemoryBytes(), 120u * 2 + 120u * 8);
+  // The cells the coarse quantizer forms (same options and seed as Build).
+  clustering::KMeansOptions km;
+  km.num_clusters = opts.num_cells;
+  km.max_iterations = opts.kmeans_iterations;
+  km.seed = opts.seed;
+  const auto coarse = clustering::KMeans(f.embeddings, km);
+  const size_t cells = coarse.centroids.rows();
+  std::vector<size_t> cell_items(cells, 0);
+  for (const uint32_t cell : coarse.assignments) ++cell_items[cell];
+  size_t blocks = 0;
+  for (const size_t items : cell_items) blocks += kernels::NumBlocks(items);
+  // Codebooks + codes with each cell padded to whole blocks + 4n norms,
+  // plus 4n ids, the cell table and the centroids with their norms.
+  const size_t want = 4 * k * m * d + blocks * m * kernels::kBlockItems +
+                      4 * n + 4 * n + cells * sizeof(SlotRange) +
+                      4 * cells * d + 4 * cells;
+  EXPECT_EQ(idx.value().MemoryBytes(), want);
+
+  // A searcher with IVF holds that one index and nothing else; without
+  // IVF, exactly the flat index.
+  serving::SearcherOptions so;
+  so.use_ivf = true;
+  so.ivf = opts;
+  auto searcher =
+      serving::ReplicaSearcher::Build(f.embeddings, f.codebooks, f.codes, so);
+  ASSERT_TRUE(searcher.ok());
+  EXPECT_EQ(searcher.value().MemoryBytes(), want);
+  so.use_ivf = false;
+  auto flat =
+      serving::ReplicaSearcher::Build(f.embeddings, f.codebooks, f.codes, so);
+  ASSERT_TRUE(flat.ok());
+  EXPECT_EQ(flat.value().MemoryBytes(),
+            4 * k * m * d + kernels::NumBlocks(n) * m * kernels::kBlockItems +
+                4 * n);
 }
 
 TEST(IvfAdcIndexTest, TiedDistancesBreakByAscendingId) {

@@ -2,8 +2,10 @@
 # Builds the test suite under AddressSanitizer (-DLIGHTLT_SANITIZE=address)
 # and runs the persistence robustness suites through ctest: the corruption
 # fuzz over every artifact format (truncations, bit flips, failed writes at
-# every offset) and the checkpoint/resume tests. Exits nonzero if ASan
-# reports an error or any loader crashes/leaks instead of returning Status.
+# every offset), the checkpoint/resume tests, and the index suites whose
+# slot and range arithmetic is raw-pointer math over one code array. Exits
+# nonzero if ASan reports an error or any loader crashes/leaks instead of
+# returning Status.
 #
 # Usage: tools/run_fault_injection.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -18,6 +20,6 @@ cmake --build "${build_dir}" --target lightlt_tests -j "$(nproc)"
 
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1:${ASAN_OPTIONS:-}"
 ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" \
-  -R '^(FaultInjectionTest|CheckpointTest|CheckpointConfigTest|BinaryIoTest|SerializeTest|DataIoTest|ScanKernelsTest)\.'
+  -R '^(FaultInjectionTest|CheckpointTest|CheckpointConfigTest|BinaryIoTest|SerializeTest|DataIoTest|ScanKernelsTest|AdcIndexTest|IvfAdcIndexTest|PackedCodesTest)\.'
 
 echo "Fault-injection suite passed under AddressSanitizer."
