@@ -160,12 +160,8 @@ serving::ReplicaAttempt RemoteSearcherClient::Search(
   // The rpc span covers dial + send + server turnaround + receive; the
   // stitched server subtree lands under it, so per-hop wire time shows up
   // as the gap between this span's start and the remote rpc_recv start.
-  obs::Span rpc_span;
+  obs::Span rpc_span = obs::MaybeSpan(trace, "rpc", parent);
   const uint64_t trace_id = trace != nullptr ? trace->trace_id() : 0;
-  if (trace != nullptr) {
-    rpc_span = parent != nullptr ? trace->StartSpan("rpc", *parent)
-                                 : trace->StartSpan("rpc");
-  }
 
   Result<Socket> acquired = Acquire(control);
   if (!acquired.ok()) {

@@ -175,9 +175,9 @@ struct ExplainRecord {
   uint64_t shortlist = 0;      ///< fast-scan candidates sent to re-rank
   bool degraded = false;      ///< admitted in degraded mode
   bool flat_fallback = false; ///< IVF path failed/short; flat scan served
-  /// Cluster attribution (left at defaults on single-node records):
-  /// fraction of database rows behind the answer, shards that answered,
-  /// and replica attempts beyond the first across all shards.
+  /// Fan-out attribution: fraction of database rows behind the answer,
+  /// shards that answered, and replica attempts beyond the first across
+  /// all shards.
   double coverage = 1.0;
   uint32_t shards_answered = 0;
   uint32_t failovers = 0;

@@ -86,6 +86,12 @@ uint64_t Trace::AbsoluteUnixNanos(uint64_t steady_ns) const {
   return abs_ns < 0 ? 0 : static_cast<uint64_t>(abs_ns);
 }
 
+Span MaybeSpan(Trace* trace, std::string_view name, const Span* parent) {
+  if (trace == nullptr) return Span();
+  if (parent == nullptr) return trace->StartSpan(std::string(name));
+  return trace->StartSpan(std::string(name), *parent);
+}
+
 Span Trace::StartSpan(const std::string& name) {
   return StartSpan(name, Span());
 }

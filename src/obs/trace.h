@@ -3,8 +3,9 @@
 // A Trace owns the span records of one request; a Span is a move-only RAII
 // handle that closes its record on destruction (or an explicit End()).
 // Spans form a tree via parent indices, mapping onto the request lifecycle
-// of §9: query → embed / admission / search → (ivf_route | adc_scan) /
-// rerank. The clock is injectable so tests assert exact durations.
+// of §9: query → embed / admission / search → router → shard_<s> →
+// (ivf_route | adc_scan) / rerank. The clock is injectable so tests assert
+// exact durations.
 //
 // Since PR 9 a trace is also the stitching point for distributed requests
 // (DESIGN.md §15): every trace carries a 64-bit trace id plus a wall-clock
@@ -24,6 +25,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace lightlt::obs {
@@ -166,6 +168,12 @@ class Trace {
   size_t max_spans_ = kDefaultMaxSpans;
   uint64_t dropped_spans_ = 0;
 };
+
+/// Opens `name` under `parent` (root-level when `parent` is null) when
+/// `trace` is non-null; an empty, no-op Span otherwise. The one span site
+/// helper of the serving and wire paths: an untraced request pays one
+/// branch and builds no name string.
+Span MaybeSpan(Trace* trace, std::string_view name, const Span* parent);
 
 /// Shifts every record's timestamps by `offset_ns`, clamping at zero and
 /// preserving end_ns == 0 (still-open) markers. The server side uses this

@@ -14,14 +14,22 @@ double SteadyNowSeconds() {
 }  // namespace
 
 AdmissionController::AdmissionController(const AdmissionOptions& options)
-    : options_(options) {}
+    : options_(options),
+      unlimited_(options.rate_per_second <= 0.0 &&
+                 options.max_in_flight == 0 && options.max_queue_depth == 0 &&
+                 options.degrade_in_flight == 0) {}
 
 double AdmissionController::Now() const {
   return options_.clock ? options_.clock() : SteadyNowSeconds();
 }
 
 AdmissionOutcome AdmissionController::TryAdmit(size_t observed_queue_depth) {
+  if (unlimited_) {
+    in_flight_.fetch_add(1, std::memory_order_relaxed);
+    return AdmissionOutcome::kAdmit;
+  }
   std::lock_guard<std::mutex> lock(mu_);
+  const size_t in_flight = in_flight_.load(std::memory_order_relaxed);
 
   // Token bucket: refill by elapsed time, then demand one token. The
   // bucket starts full so a fresh service serves its burst immediately.
@@ -39,7 +47,7 @@ AdmissionOutcome AdmissionController::TryAdmit(size_t observed_queue_depth) {
     if (tokens_ < 1.0) return AdmissionOutcome::kShed;
   }
 
-  if (options_.max_in_flight > 0 && in_flight_ >= options_.max_in_flight) {
+  if (options_.max_in_flight > 0 && in_flight >= options_.max_in_flight) {
     return AdmissionOutcome::kShed;
   }
 
@@ -47,26 +55,27 @@ AdmissionOutcome AdmissionController::TryAdmit(size_t observed_queue_depth) {
       (options_.max_queue_depth > 0 &&
        observed_queue_depth > options_.max_queue_depth) ||
       (options_.degrade_in_flight > 0 &&
-       in_flight_ >= options_.degrade_in_flight);
+       in_flight >= options_.degrade_in_flight);
   if (soft_overloaded &&
       options_.on_overload == AdmissionOptions::OverloadPolicy::kShed) {
     return AdmissionOutcome::kShed;
   }
 
   if (options_.rate_per_second > 0.0) tokens_ -= 1.0;
-  ++in_flight_;
+  in_flight_.fetch_add(1, std::memory_order_relaxed);
   return soft_overloaded ? AdmissionOutcome::kDegrade
                          : AdmissionOutcome::kAdmit;
 }
 
 void AdmissionController::Release() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (in_flight_ > 0) --in_flight_;
+  size_t n = in_flight_.load(std::memory_order_relaxed);
+  while (n > 0 && !in_flight_.compare_exchange_weak(
+                      n, n - 1, std::memory_order_relaxed)) {
+  }
 }
 
 size_t AdmissionController::InFlight() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return in_flight_;
+  return in_flight_.load(std::memory_order_relaxed);
 }
 
 }  // namespace lightlt::serving

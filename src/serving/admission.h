@@ -17,6 +17,7 @@
 #ifndef LIGHTLT_SERVING_ADMISSION_H_
 #define LIGHTLT_SERVING_ADMISSION_H_
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <mutex>
@@ -67,8 +68,10 @@ class AdmissionController {
   double Now() const;
 
   AdmissionOptions options_;
+  /// No limit configured: every request is admitted without the lock.
+  bool unlimited_ = false;
   mutable std::mutex mu_;
-  size_t in_flight_ = 0;
+  std::atomic<size_t> in_flight_{0};
   double tokens_ = 0.0;
   double last_refill_ = 0.0;
   bool bucket_started_ = false;

@@ -29,6 +29,14 @@ ReplicaHealthMonitor::ReplicaHealthMonitor(size_t num_shards,
   LIGHTLT_CHECK(num_shards > 0);
   LIGHTLT_CHECK(num_replicas > 0);
   cells_.resize(num_shards * num_replicas);
+  clean_ = std::make_unique<std::atomic<bool>[]>(cells_.size());
+  for (size_t i = 0; i < cells_.size(); ++i) clean_[i].store(true);
+}
+
+void ReplicaHealthMonitor::PublishLocked(const Cell& cell) {
+  clean_[static_cast<size_t>(&cell - cells_.data())].store(
+      cell.state == ReplicaHealth::kHealthy && cell.failure_streak == 0,
+      std::memory_order_release);
 }
 
 double ReplicaHealthMonitor::Now() const {
@@ -112,11 +120,16 @@ void ReplicaHealthMonitor::SuccessSignalLocked(Cell* cell) {
 }
 
 std::vector<size_t> ReplicaHealthMonitor::Candidates(size_t shard) {
+  std::vector<size_t> out;
+  out.reserve(num_replicas_);
+  for (size_t r = 0; r < num_replicas_ && Clean(shard, r); ++r) {
+    out.push_back(r);
+  }
+  if (out.size() == num_replicas_) return out;  // all healthy, index order
+  out.clear();
   std::lock_guard<std::mutex> lock(mu_);
   // Preference order: healthy, then suspect, then probing; stable by
   // replica index within each class so failover is deterministic.
-  std::vector<size_t> out;
-  out.reserve(num_replicas_);
   for (const ReplicaHealth want :
        {ReplicaHealth::kHealthy, ReplicaHealth::kSuspect,
         ReplicaHealth::kProbing}) {
@@ -130,6 +143,7 @@ std::vector<size_t> ReplicaHealthMonitor::Candidates(size_t shard) {
 }
 
 bool ReplicaHealthMonitor::BeginAttempt(size_t shard, size_t replica) {
+  if (Clean(shard, replica)) return true;
   std::lock_guard<std::mutex> lock(mu_);
   Cell& cell = CellAt(shard, replica);
   MaybePromoteLocked(&cell);
@@ -149,16 +163,19 @@ bool ReplicaHealthMonitor::BeginAttempt(size_t shard, size_t replica) {
 
 void ReplicaHealthMonitor::RecordSuccess(size_t shard, size_t replica,
                                          double latency_seconds) {
+  const bool slow = options_.slow_latency_seconds > 0.0 &&
+                    latency_seconds > options_.slow_latency_seconds;
+  // A fast success on a clean replica changes nothing it would report.
+  if (!slow && Clean(shard, replica)) return;
   std::lock_guard<std::mutex> lock(mu_);
   Cell& cell = CellAt(shard, replica);
   ReleaseProbeLocked(&cell);
-  const bool slow = options_.slow_latency_seconds > 0.0 &&
-                    latency_seconds > options_.slow_latency_seconds;
   if (slow) {
     FailureSignalLocked(&cell);
   } else {
     SuccessSignalLocked(&cell);
   }
+  PublishLocked(cell);
 }
 
 void ReplicaHealthMonitor::RecordFailure(size_t shard, size_t replica) {
@@ -166,6 +183,7 @@ void ReplicaHealthMonitor::RecordFailure(size_t shard, size_t replica) {
   Cell& cell = CellAt(shard, replica);
   ReleaseProbeLocked(&cell);
   FailureSignalLocked(&cell);
+  PublishLocked(cell);
 }
 
 void ReplicaHealthMonitor::RecordTimeout(size_t shard, size_t replica) {
@@ -174,6 +192,7 @@ void ReplicaHealthMonitor::RecordTimeout(size_t shard, size_t replica) {
   Cell& cell = CellAt(shard, replica);
   ReleaseProbeLocked(&cell);
   FailureSignalLocked(&cell);
+  PublishLocked(cell);
 }
 
 void ReplicaHealthMonitor::RecordAbandoned(size_t shard, size_t replica) {

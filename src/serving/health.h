@@ -28,12 +28,18 @@
 // answers too late is as useless as one that errors.
 //
 // Thread-safe: the router's scatter tasks record signals from pool workers.
+// Every served request passes through here, so the common case — a
+// HEALTHY replica with no failure streak — takes no lock: Candidates,
+// BeginAttempt and a fast RecordSuccess read a per-replica atomic flag that
+// every locked transition keeps current, and change nothing.
 
 #ifndef LIGHTLT_SERVING_HEALTH_H_
 #define LIGHTLT_SERVING_HEALTH_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -146,6 +152,12 @@ class ReplicaHealthMonitor {
   void SuccessSignalLocked(Cell* cell);
   /// Releases a PROBING attempt slot if one was held. Caller holds mu_.
   void ReleaseProbeLocked(Cell* cell);
+  /// Republishes the cell's lock-free "clean" flag. Caller holds mu_.
+  void PublishLocked(const Cell& cell);
+  bool Clean(size_t shard, size_t replica) const {
+    return clean_[shard * num_replicas_ + replica].load(
+        std::memory_order_acquire);
+  }
 
   const size_t num_shards_;
   const size_t num_replicas_;
@@ -156,6 +168,9 @@ class ReplicaHealthMonitor {
   /// cooldown elapsed must read as PROBING as soon as the clock allows,
   /// mirroring CircuitBreaker::MaybeHalfOpenLocked.
   mutable std::vector<Cell> cells_;
+  /// Per cell: HEALTHY with a zero failure streak. Written under mu_ after
+  /// every transition, read without it on the hot path.
+  std::unique_ptr<std::atomic<bool>[]> clean_;
   mutable uint64_t transitions_ = 0;
   uint64_t timeouts_ = 0;
 };

@@ -1,35 +1,14 @@
 #include "src/serving/router.h"
 
 #include <algorithm>
-#include <cmath>
 #include <exception>
 #include <string>
 #include <utility>
 
-#include "src/core/pipeline.h"
 #include "src/obs/profile.h"
 #include "src/util/check.h"
-#include "src/util/timer.h"
 
 namespace lightlt::serving {
-namespace {
-
-bool AllFinite(const Matrix& m) {
-  const float* data = m.data();
-  for (size_t i = 0; i < m.size(); ++i) {
-    if (!std::isfinite(data[i])) return false;
-  }
-  return true;
-}
-
-obs::Span MaybeSpan(obs::Trace* trace, const std::string& name,
-                    const obs::Span* parent) {
-  if (trace == nullptr) return obs::Span();
-  if (parent != nullptr) return trace->StartSpan(name, *parent);
-  return trace->StartSpan(name);
-}
-
-}  // namespace
 
 Router::Router(std::shared_ptr<const SearchTransport> transport,
                std::shared_ptr<ReplicaHealthMonitor> health,
@@ -55,14 +34,13 @@ Router::Router(std::shared_ptr<const ShardSet> shards,
 
 Router::ShardOutcome Router::SearchShard(size_t shard, const float* query,
                                          size_t top_k,
-                                         const Deadline& deadline,
-                                         const CancellationToken& cancel,
+                                         const ScanControl& request,
                                          obs::Trace* trace,
                                          const obs::Span* parent) const {
   ShardOutcome outcome;
   obs::ProfilePhase shard_phase("shard_search");
   obs::Span shard_span =
-      MaybeSpan(trace, "shard_" + std::to_string(shard), parent);
+      obs::MaybeSpan(trace, "shard_" + std::to_string(shard), parent);
   const obs::Span* shard_parent = trace ? &shard_span : nullptr;
 
   // Every failover verdict is logged with the request's trace id, so a
@@ -92,11 +70,11 @@ Router::ShardOutcome Router::SearchShard(size_t shard, const float* query,
       std::min<size_t>(static_cast<size_t>(options_.max_attempts_per_shard),
                        candidates.size()));
 
-  const ScanControl request_budget{deadline, cancel};
+  const Deadline& deadline = request.deadline;
   Status last = Status::Unavailable("router: all replica attempts failed");
   for (size_t i = 0;
        i < candidates.size() && outcome.attempts < max_attempts; ++i) {
-    Status budget = request_budget.Check();
+    Status budget = request.Check();
     if (!budget.ok()) {
       outcome.status = std::move(budget);
       return outcome;
@@ -109,8 +87,11 @@ Router::ShardOutcome Router::SearchShard(size_t shard, const float* query,
     // before the attempt slot is claimed: a zero-or-near-zero slice cannot
     // finish any scan, so dispatching it would only charge the replica a
     // bogus timeout verdict (and, over a remote transport, burn a wire
-    // round trip) — fail fast instead.
-    Deadline sub = deadline;
+    // round trip) — fail fast instead. The last attempt runs under the
+    // request's own deadline, so its expiry is never mistaken for a
+    // replica timeout.
+    ScanControl control = request;
+    control.stats = request.stats != nullptr ? &outcome.scan : nullptr;
     if (!deadline.IsInfinite()) {
       const uint32_t attempts_left = max_attempts - outcome.attempts;
       const double budget = std::max(0.0, deadline.RemainingSeconds()) /
@@ -120,14 +101,13 @@ Router::ShardOutcome Router::SearchShard(size_t shard, const float* query,
             "router: no budget left for a replica attempt");
         return outcome;
       }
-      sub = Deadline::After(budget);
+      if (attempts_left > 1) control.deadline = Deadline::After(budget);
     }
 
     // A denied claim (probe budget exhausted, or the replica raced to DOWN
     // since Candidates ran) consumes no attempt: move to the next candidate.
     if (!health_->BeginAttempt(shard, replica)) continue;
     ++outcome.attempts;
-    const ScanControl control{sub, cancel, options_.scan_check_every};
     ReplicaAttempt attempt = transport_->SearchReplica(
         shard, replica, query, top_k, control, trace, shard_parent);
 
@@ -137,6 +117,7 @@ Router::ShardOutcome Router::SearchShard(size_t shard, const float* query,
       health_->RecordSuccess(shard, replica, attempt.latency_seconds);
       outcome.status = Status::Ok();
       outcome.hits = std::move(attempt.hits);
+      outcome.flat_fallback = attempt.flat_fallback;
       return outcome;
     }
     switch (attempt.status.code()) {
@@ -186,34 +167,46 @@ RoutedResult Router::Search(const float* query, size_t top_k,
                             const CancellationToken& cancel,
                             obs::Trace* trace,
                             const obs::Span* parent) const {
+  return Search(query, top_k, ScanControl{deadline, cancel}, trace, parent);
+}
+
+RoutedResult Router::Search(const float* query, size_t top_k,
+                            const ScanControl& control, obs::Trace* trace,
+                            const obs::Span* parent) const {
   const size_t num_shards = transport_->num_shards();
   RoutedResult result;
   result.shard_status.resize(num_shards);
 
-  obs::Span router_span = MaybeSpan(trace, "router", parent);
+  obs::Span router_span = obs::MaybeSpan(trace, "router", parent);
   const obs::Span* router_parent = trace ? &router_span : nullptr;
 
   // Scatter: one task per shard. Each task observes the request deadline
   // internally (sub-deadlines bound every attempt), so a plain Wait()
   // returns promptly after expiry — at most one chunk of scan work late.
+  // Each task writes only its own outcome, scan accounting included.
   std::vector<ShardOutcome> outcomes(num_shards);
   {
     obs::ProfilePhase scatter_phase("router_scatter");
-    TaskGroup group(options_.pool);
-    for (size_t s = 0; s < num_shards; ++s) {
-      group.Submit([&, s] {
-        try {
-          outcomes[s] = SearchShard(s, query, top_k, deadline, cancel, trace,
-                                    router_parent);
-        } catch (const std::exception& e) {
-          outcomes[s].status = Status::Internal(
-              std::string("router: shard task failed: ") + e.what());
-        } catch (...) {
-          outcomes[s].status = Status::Internal("router: shard task failed");
-        }
-      });
+    const auto search_shard = [&](size_t s) {
+      try {
+        outcomes[s] =
+            SearchShard(s, query, top_k, control, trace, router_parent);
+      } catch (const std::exception& e) {
+        outcomes[s].status = Status::Internal(
+            std::string("router: shard task failed: ") + e.what());
+      } catch (...) {
+        outcomes[s].status = Status::Internal("router: shard task failed");
+      }
+    };
+    if (num_shards == 1) {
+      search_shard(0);  // nothing to scatter: no task group, no hop
+    } else {
+      TaskGroup group(options_.pool);
+      for (size_t s = 0; s < num_shards; ++s) {
+        group.Submit([&search_shard, s] { search_shard(s); });
+      }
+      group.Wait();
     }
-    group.Wait();
   }
 
   // Gather: successful shards contribute hits and coverage; failed shards
@@ -228,10 +221,16 @@ RoutedResult Router::Search(const float* query, size_t top_k,
     result.shard_status[s] = outcome.status;
     if (outcome.attempts > 0) result.failovers += outcome.attempts - 1;
     result.timeouts += outcome.timeouts;
+    if (control.stats != nullptr) *control.stats += outcome.scan;
     if (outcome.status.ok()) {
       ++result.shards_answered;
       covered += transport_->shard_items(s);
-      merged.insert(merged.end(), outcome.hits.begin(), outcome.hits.end());
+      result.flat_fallback = result.flat_fallback || outcome.flat_fallback;
+      if (merged.empty()) {
+        merged = std::move(outcome.hits);
+      } else {
+        merged.insert(merged.end(), outcome.hits.begin(), outcome.hits.end());
+      }
     } else if (outcome.status.code() == StatusCode::kDeadlineExceeded) {
       saw_expired = true;
     } else if (outcome.status.code() == StatusCode::kCancelled) {
@@ -246,14 +245,16 @@ RoutedResult Router::Search(const float* query, size_t top_k,
   if (result.shards_answered > 0 &&
       result.coverage >= options_.quorum_coverage) {
     // Deterministic k-way merge: each shard's local top-k is already a
-    // superset of its contribution to the global top-k, so one exact
-    // (distance, id) sort over the union reproduces the single-shard order
-    // bit for bit.
-    std::sort(merged.begin(), merged.end(),
-              [](const index::SearchHit& a, const index::SearchHit& b) {
-                return a.distance < b.distance ||
-                       (a.distance == b.distance && a.id < b.id);
-              });
+    // superset of its contribution to the global top-k and sorted by
+    // (distance, id), so one exact sort over the union reproduces the
+    // single-shard order bit for bit — and one shard's list is the answer.
+    if (result.shards_answered > 1) {
+      std::sort(merged.begin(), merged.end(),
+                [](const index::SearchHit& a, const index::SearchHit& b) {
+                  return a.distance < b.distance ||
+                         (a.distance == b.distance && a.id < b.id);
+                });
+    }
     if (merged.size() > top_k) merged.resize(top_k);
     result.hits = std::move(merged);
     result.status = Status::Ok();
@@ -275,7 +276,9 @@ RoutedResult Router::Search(const float* query, size_t top_k,
 }
 
 void MaybeCaptureSlowQuery(obs::SlowQueryLog* log, const RoutedResult& routed,
-                           double elapsed_seconds, const obs::Trace* trace) {
+                           double elapsed_seconds, const obs::Trace* trace,
+                           const ScanStats* scan, uint64_t cpu_ns,
+                           bool degraded) {
   if (log == nullptr || log->options().latency_threshold_seconds <= 0.0 ||
       elapsed_seconds < log->options().latency_threshold_seconds) {
     return;
@@ -286,6 +289,17 @@ void MaybeCaptureSlowQuery(obs::SlowQueryLog* log, const RoutedResult& routed,
       routed.status.ok() ? "ok" : Status::CodeName(routed.status.code());
   record.trace_id = trace != nullptr ? trace->trace_id() : 0;
   record.latency_seconds = elapsed_seconds;
+  if (scan != nullptr) {
+    record.explain.chunks = scan->chunks;
+    record.explain.items = scan->items;
+    record.explain.probed_cells = scan->probed_cells;
+    record.explain.codes_decoded = scan->codes_decoded;
+    record.explain.lut_builds = scan->lut_builds;
+    record.explain.shortlist = scan->shortlist;
+  }
+  record.explain.cpu_ns = cpu_ns;
+  record.explain.degraded = degraded;
+  record.explain.flat_fallback = routed.flat_fallback;
   record.explain.coverage = routed.coverage;
   record.explain.shards_answered = routed.shards_answered;
   record.explain.failovers = routed.failovers;
@@ -294,191 +308,6 @@ void MaybeCaptureSlowQuery(obs::SlowQueryLog* log, const RoutedResult& routed,
   // carry the useful timing.
   if (trace != nullptr) record.spans = trace->Records();
   log->Add(std::move(record));
-}
-
-void ClusterService::Instruments::Register(obs::MetricsRegistry* registry,
-                                           const std::string& prefix) {
-  const std::string requests = prefix + "requests_total";
-  served = registry->GetCounter(obs::WithLabel(requests, "outcome", "served"));
-  partial =
-      registry->GetCounter(obs::WithLabel(requests, "outcome", "partial"));
-  shed = registry->GetCounter(obs::WithLabel(requests, "outcome", "shed"));
-  expired =
-      registry->GetCounter(obs::WithLabel(requests, "outcome", "expired"));
-  cancelled =
-      registry->GetCounter(obs::WithLabel(requests, "outcome", "cancelled"));
-  failed = registry->GetCounter(obs::WithLabel(requests, "outcome", "failed"));
-  failovers = registry->GetCounter(prefix + "failovers_total");
-  timeouts = registry->GetCounter(prefix + "timeouts_total");
-  coverage = registry->GetHistogram(prefix + "coverage");
-  const std::string latency = prefix + "latency_seconds";
-  latency_served =
-      registry->GetHistogram(obs::WithLabel(latency, "outcome", "served"));
-  latency_failed =
-      registry->GetHistogram(obs::WithLabel(latency, "outcome", "error"));
-}
-
-Result<ClusterService> ClusterService::Build(
-    std::shared_ptr<const core::LightLtModel> model,
-    const Matrix& db_features, const ClusterOptions& options) {
-  if (model == nullptr) {
-    return Status::InvalidArgument("ClusterService: null model");
-  }
-  if (db_features.rows() == 0) {
-    return Status::InvalidArgument("ClusterService: empty database");
-  }
-  if (db_features.cols() != model->config().input_dim) {
-    return Status::InvalidArgument(
-        "ClusterService: database feature dim mismatch");
-  }
-  if (options.router.quorum_coverage < 0.0 ||
-      options.router.quorum_coverage > 1.0) {
-    return Status::InvalidArgument(
-        "ClusterService: quorum_coverage must be in [0, 1]");
-  }
-  // Same artifact validation as the single-node service: a damaged model or
-  // a NaN database must be rejected at Build, not discovered as garbage
-  // neighbours in production.
-  for (const auto& p : model->Parameters()) {
-    if (!AllFinite(p->value())) {
-      return Status::FailedPrecondition(
-          "ClusterService: model has non-finite weights");
-    }
-  }
-  const size_t embed_dim = model->config().embed_dim;
-  for (const Matrix& cb : model->Codebooks()) {
-    if (cb.cols() != embed_dim) {
-      return Status::FailedPrecondition(
-          "ClusterService: codebook/embedding dim mismatch");
-    }
-  }
-  if (!AllFinite(db_features)) {
-    return Status::InvalidArgument(
-        "ClusterService: database features contain NaN/Inf");
-  }
-
-  ClusterService service;
-  service.options_ = options;
-  service.model_ = model;
-  service.metrics_ = options.metrics
-                         ? options.metrics
-                         : std::make_shared<obs::MetricsRegistry>();
-  service.inst_.Register(service.metrics_.get(), options.metric_prefix);
-  if (options.slow_query.latency_threshold_seconds > 0.0) {
-    service.slow_log_ = std::make_shared<obs::SlowQueryLog>(options.slow_query);
-  }
-
-  const Matrix embedded = core::EmbedInChunks(*model, db_features);
-  std::vector<std::vector<uint32_t>> codes;
-  model->dsq().Encode(embedded, &codes);
-
-  ShardSetOptions shard_options;
-  shard_options.num_shards = options.num_shards;
-  shard_options.num_replicas = options.num_replicas;
-  shard_options.searcher = options.searcher;
-  shard_options.replica_admission = options.replica_admission;
-  auto shards =
-      ShardSet::Build(embedded, model->Codebooks(), codes, shard_options);
-  if (!shards.ok()) return shards.status();
-  auto shard_set = std::make_shared<ShardSet>(std::move(shards).value());
-  shard_set->Instrument(service.metrics_.get(), options.metric_prefix);
-  service.shards_ = shard_set;
-
-  service.health_ = std::make_shared<ReplicaHealthMonitor>(
-      options.num_shards, options.num_replicas, options.health);
-  service.health_->InstrumentGauges(service.metrics_.get(),
-                                    options.metric_prefix, service.health_);
-
-  service.router_ = std::make_unique<Router>(service.shards_, service.health_,
-                                             options.router);
-  return service;
-}
-
-Result<ClusterResponse> ClusterService::Query(const Matrix& features,
-                                              size_t top_k) const {
-  return Query(features, top_k, RequestOptions{});
-}
-
-Result<ClusterResponse> ClusterService::Query(
-    const Matrix& features, size_t top_k,
-    const RequestOptions& request) const {
-  if (features.rows() != 1 ||
-      features.cols() != model_->config().input_dim) {
-    return Status::InvalidArgument("Query: expected a 1 x input_dim vector");
-  }
-  if (!AllFinite(features)) {
-    return Status::InvalidArgument("Query: features contain NaN/Inf");
-  }
-  WallTimer timer;
-  // Slow-query capture needs the stitched span tree even when the caller
-  // did not opt into tracing, so an internal per-call trace stands in
-  // (same pattern as RetrievalService).
-  obs::Trace internal_trace;
-  obs::Trace* trace = request.trace;
-  if (slow_log_ != nullptr && trace == nullptr) trace = &internal_trace;
-  obs::Span query_span = MaybeSpan(trace, "cluster_query", nullptr);
-  const obs::Span* query_parent = trace ? &query_span : nullptr;
-  Matrix embedded;
-  {
-    obs::Span embed_span = MaybeSpan(trace, "embed", query_parent);
-    embedded = model_->Embed(features);
-  }
-  const RoutedResult routed =
-      router_->Search(embedded.row(0), top_k, request.deadline, request.cancel,
-                      trace, query_parent);
-  const double elapsed = timer.ElapsedSeconds();
-  MaybeCaptureSlowQuery(slow_log_.get(), routed, elapsed, trace);
-  inst_.failovers->Increment(routed.failovers);
-  inst_.timeouts->Increment(routed.timeouts);
-  if (routed.status.ok()) {
-    if (routed.coverage < 1.0) {
-      inst_.partial->Increment();
-    } else {
-      inst_.served->Increment();
-    }
-    inst_.coverage->Record(routed.coverage);
-    inst_.latency_served->Record(elapsed);
-    ClusterResponse response;
-    response.coverage = routed.coverage;
-    response.shards_answered = routed.shards_answered;
-    response.failovers = routed.failovers;
-    response.hits.reserve(routed.hits.size());
-    for (const index::SearchHit& hit : routed.hits) {
-      response.hits.push_back({hit.id, hit.distance});
-    }
-    return response;
-  }
-  switch (routed.status.code()) {
-    case StatusCode::kUnavailable:
-      inst_.shed->Increment();
-      break;
-    case StatusCode::kDeadlineExceeded:
-      inst_.expired->Increment();
-      break;
-    case StatusCode::kCancelled:
-      inst_.cancelled->Increment();
-      break;
-    default:
-      inst_.failed->Increment();
-      break;
-  }
-  inst_.latency_failed->Record(elapsed);
-  return routed.status;
-}
-
-ClusterStats ClusterService::Stats() const {
-  ClusterStats s;
-  s.served = inst_.served->Value();
-  s.partial = inst_.partial->Value();
-  s.shed = inst_.shed->Value();
-  s.expired = inst_.expired->Value();
-  s.cancelled = inst_.cancelled->Value();
-  s.failed = inst_.failed->Value();
-  s.failovers = inst_.failovers->Value();
-  s.timeouts = inst_.timeouts->Value();
-  s.health_transitions = health_->transition_count();
-  s.coverage = inst_.coverage->Snapshot();
-  return s;
 }
 
 }  // namespace lightlt::serving

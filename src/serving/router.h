@@ -1,4 +1,4 @@
-// Cluster router and serving facade (DESIGN.md §13).
+// Scatter-gather router (DESIGN.md §13).
 //
 // Router scatter-gathers one query across every shard of a ShardSet on a
 // ThreadPool: each shard task walks the ReplicaHealthMonitor's candidate
@@ -22,10 +22,10 @@
 // with kUnavailable (or the stronger kDeadlineExceeded / kCancelled when
 // the request's own budget was the cause).
 //
-// ClusterService is the deployment-facing facade over model + ShardSet +
-// ReplicaHealthMonitor + Router, with the same exact-counter ServiceStats
-// discipline as RetrievalService: every query ends in exactly one of
-// served / partial / shed / expired / cancelled / failed.
+// RetrievalService (src/serving/service.h) serves every in-process
+// topology through one Router over a LocalShardTransport; a single-node
+// service is the 1 x 1 grid. Callers driving a Router directly (over a
+// RemoteTransport) get the same merge, failover and slow-query records.
 
 #ifndef LIGHTLT_SERVING_ROUTER_H_
 #define LIGHTLT_SERVING_ROUTER_H_
@@ -35,12 +35,9 @@
 #include <string>
 #include <vector>
 
-#include "src/core/lightlt_model.h"
 #include "src/obs/log.h"
-#include "src/obs/metrics.h"
 #include "src/obs/quality.h"
 #include "src/serving/health.h"
-#include "src/serving/service.h"
 #include "src/serving/shard.h"
 #include "src/serving/transport.h"
 #include "src/util/deadline.h"
@@ -57,8 +54,6 @@ struct RouterOptions {
   /// the query to succeed; below it the query fails (kUnavailable, or the
   /// request's own deadline/cancel status when that was the cause).
   double quorum_coverage = 0.5;
-  /// Items scanned between deadline/cancel checks inside replica scans.
-  size_t scan_check_every = 1024;
   /// Pool the scatter runs on (null = shards searched inline, in order).
   ThreadPool* pool = nullptr;
   /// A replica attempt whose carved sub-deadline would be at or below this
@@ -90,18 +85,24 @@ struct RoutedResult {
   uint32_t timeouts = 0;
   /// Per-shard terminal status, index = shard id.
   std::vector<Status> shard_status;
+  /// Some answering shard served from the flat scan although IVF was on.
+  bool flat_fallback = false;
 };
 
 /// Captures one routed query into a slow-query explain ring when it
 /// crossed the ring's latency threshold: terminal outcome, coverage /
-/// shards-answered / failover attribution, and the request's full span
-/// tree (stitched remote subtrees carry per-span shard attribution).
-/// Null `log` and untraced requests are fine; sub-threshold queries are
-/// ignored. ClusterService::Query calls this internally; callers driving
+/// shards-answered / failover attribution and the fallback bit from
+/// `routed`, the scan "explain" fields from `scan` (when non-null), the
+/// request's CPU time and degraded flag, and the full span tree (stitched
+/// remote subtrees carry per-span shard attribution). Null `log` and
+/// untraced requests are fine; sub-threshold queries are ignored.
+/// RetrievalService calls this for every admitted request; callers driving
 /// Router directly (e.g. over a RemoteTransport) use it to get the same
 /// ring records.
 void MaybeCaptureSlowQuery(obs::SlowQueryLog* log, const RoutedResult& routed,
-                           double elapsed_seconds, const obs::Trace* trace);
+                           double elapsed_seconds, const obs::Trace* trace,
+                           const ScanStats* scan = nullptr, uint64_t cpu_ns = 0,
+                           bool degraded = false);
 
 /// Scatter-gather search over a SearchTransport with health-driven
 /// failover. Transport-agnostic: in-process ShardSet and remote shard
@@ -119,10 +120,17 @@ class Router {
          std::shared_ptr<ReplicaHealthMonitor> health,
          const RouterOptions& options);
 
-  /// Routes one embedded query. `deadline`/`cancel` bound the whole
-  /// fan-out; each shard attempt gets a sub-deadline derived from the
-  /// remaining budget. Span tree when `trace` is non-null:
+  /// Routes one embedded query under the request's `control`. Its
+  /// deadline and token bound the whole fan-out; each shard attempt gets a
+  /// sub-deadline derived from the remaining budget, and `degraded` and
+  /// `check_every_items` reach every replica. When `control.stats` is set,
+  /// each shard task fills its own ScanStats and the sum lands in
+  /// *control.stats after the join. Span tree when `trace` is non-null:
   /// router → shard_<s> → (ivf_route | adc_scan) / rerank.
+  RoutedResult Search(const float* query, size_t top_k,
+                      const ScanControl& control, obs::Trace* trace,
+                      const obs::Span* parent) const;
+  /// Same, for a request with no scan accounting and no degrade.
   RoutedResult Search(const float* query, size_t top_k,
                       const Deadline& deadline,
                       const CancellationToken& cancel, obs::Trace* trace,
@@ -140,134 +148,17 @@ class Router {
     std::vector<index::SearchHit> hits;
     uint32_t attempts = 0;
     uint32_t timeouts = 0;
+    bool flat_fallback = false;
+    /// This shard's attempts' scan accounting (only when requested).
+    ScanStats scan;
   };
   ShardOutcome SearchShard(size_t shard, const float* query, size_t top_k,
-                           const Deadline& deadline,
-                           const CancellationToken& cancel, obs::Trace* trace,
+                           const ScanControl& request, obs::Trace* trace,
                            const obs::Span* parent) const;
 
   std::shared_ptr<const SearchTransport> transport_;
   std::shared_ptr<ReplicaHealthMonitor> health_;
   RouterOptions options_;
-};
-
-/// Configuration of a ClusterService stack.
-struct ClusterOptions {
-  size_t num_shards = 2;
-  size_t num_replicas = 2;
-  /// Per-replica search engine (rerank, IVF, breaker).
-  SearcherOptions searcher;
-  /// Per-replica admission budget.
-  AdmissionOptions replica_admission;
-  HealthOptions health;
-  RouterOptions router;
-  /// Metrics registry (null: the service creates its own). Shared so
-  /// callback gauges co-own the components they read.
-  std::shared_ptr<obs::MetricsRegistry> metrics;
-  /// Prefix of every cluster metric (`{prefix}requests_total{outcome=...}`,
-  /// `{prefix}coverage`, per-replica scan instruments, health gauges).
-  std::string metric_prefix = "cluster_";
-  /// Slow-query explain ring (latency_threshold_seconds > 0 enables it).
-  /// Captured records carry the full stitched span tree — remote subtrees
-  /// included, with per-span shard attribution — plus coverage/failover
-  /// accounting, so one ring entry explains where a slow fan-out spent its
-  /// time (DESIGN.md §15).
-  obs::SlowQueryLog::Options slow_query;
-};
-
-/// One successful cluster answer: merged hits plus how much of the
-/// database stood behind them.
-struct ClusterResponse {
-  std::vector<ServedHit> hits;
-  double coverage = 1.0;
-  uint32_t shards_answered = 0;
-  uint32_t failovers = 0;
-};
-
-/// Point-in-time cluster counters; every terminal query outcome increments
-/// exactly one of served/partial/shed/expired/cancelled/failed.
-struct ClusterStats {
-  uint64_t served = 0;     ///< full coverage
-  uint64_t partial = 0;    ///< served with coverage < 1
-  uint64_t shed = 0;       ///< kUnavailable (below quorum)
-  uint64_t expired = 0;    ///< kDeadlineExceeded
-  uint64_t cancelled = 0;  ///< kCancelled
-  uint64_t failed = 0;     ///< any other terminal error
-  uint64_t failovers = 0;
-  uint64_t timeouts = 0;
-  uint64_t health_transitions = 0;
-  /// Coverage distribution of successful (served + partial) queries.
-  obs::HistogramSnapshot coverage;
-};
-
-/// The sharded deployment facade: model (query encoder) + ShardSet +
-/// ReplicaHealthMonitor + Router.
-class ClusterService {
- public:
-  /// Builds the cluster from a trained model and raw database features:
-  /// embeds and encodes the database once, partitions it across
-  /// `options.num_shards` contiguous shards and builds `options.num_replicas`
-  /// independent replica searchers per shard. The model is shared (not
-  /// copied) and must outlive the service.
-  static Result<ClusterService> Build(
-      std::shared_ptr<const core::LightLtModel> model,
-      const Matrix& db_features, const ClusterOptions& options = {});
-
-  /// Top-k search for one raw feature vector (1 x input_dim). Succeeds —
-  /// possibly with partial coverage — whenever surviving shards cover at
-  /// least `router.quorum_coverage` of the database.
-  Result<ClusterResponse> Query(const Matrix& features, size_t top_k) const;
-  Result<ClusterResponse> Query(const Matrix& features, size_t top_k,
-                                const RequestOptions& request) const;
-
-  size_t num_items() const { return shards_->total_items(); }
-  size_t num_shards() const { return shards_->num_shards(); }
-  size_t num_replicas() const { return shards_->num_replicas(); }
-  size_t IndexMemoryBytes() const { return shards_->MemoryBytes(); }
-  const ClusterOptions& options() const { return options_; }
-
-  const Router& router() const { return *router_; }
-  ReplicaHealthMonitor& health() const { return *health_; }
-  const ShardSet& shards() const { return *shards_; }
-
-  /// The slow-query explain ring, when ClusterOptions::slow_query enabled
-  /// one (null otherwise).
-  obs::SlowQueryLog* SlowQueries() const { return slow_log_.get(); }
-
-  /// Exact counter snapshot (same conservation discipline as
-  /// RetrievalService::Stats: one terminal outcome per query).
-  ClusterStats Stats() const;
-
-  obs::MetricsRegistry& Metrics() const { return *metrics_; }
-
- private:
-  ClusterService() = default;
-
-  struct Instruments {
-    obs::Counter* served = nullptr;
-    obs::Counter* partial = nullptr;
-    obs::Counter* shed = nullptr;
-    obs::Counter* expired = nullptr;
-    obs::Counter* cancelled = nullptr;
-    obs::Counter* failed = nullptr;
-    obs::Counter* failovers = nullptr;
-    obs::Counter* timeouts = nullptr;
-    obs::Histogram* coverage = nullptr;
-    /// Query latency per terminal outcome bucket, seconds.
-    obs::Histogram* latency_served = nullptr;
-    obs::Histogram* latency_failed = nullptr;
-
-    void Register(obs::MetricsRegistry* registry, const std::string& prefix);
-  };
-
-  ClusterOptions options_;
-  std::shared_ptr<const core::LightLtModel> model_;
-  std::shared_ptr<const ShardSet> shards_;
-  std::shared_ptr<ReplicaHealthMonitor> health_;
-  std::unique_ptr<Router> router_;
-  std::shared_ptr<obs::MetricsRegistry> metrics_;
-  std::shared_ptr<obs::SlowQueryLog> slow_log_;  // null unless capture on
-  Instruments inst_;
 };
 
 }  // namespace lightlt::serving

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <exception>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "src/core/pipeline.h"
@@ -30,12 +31,26 @@ bool RowFinite(const Matrix& m, size_t row) {
   return true;
 }
 
-/// Opens `name` under `parent` when tracing is on; an empty Span otherwise.
-obs::Span MaybeSpan(obs::Trace* trace, const char* name,
-                    const obs::Span* parent) {
-  if (trace == nullptr) return obs::Span();
-  if (parent != nullptr) return trace->StartSpan(name, *parent);
-  return trace->StartSpan(name);
+/// The grid's breakers as one: the most open state (open, then half-open,
+/// then closed), and open transitions summed over replicas. Closed with
+/// zero transitions without IVF.
+std::pair<BreakerState, uint64_t> GridBreaker(const ShardSet& shards) {
+  BreakerState state = BreakerState::kClosed;
+  uint64_t open_transitions = 0;
+  for (size_t s = 0; s < shards.num_shards(); ++s) {
+    for (size_t r = 0; r < shards.num_replicas(); ++r) {
+      const auto& breaker = shards.searcher(s, r).breaker();
+      if (breaker == nullptr) continue;
+      const BreakerState replica = breaker->state();
+      if (replica == BreakerState::kOpen ||
+          (replica == BreakerState::kHalfOpen &&
+           state == BreakerState::kClosed)) {
+        state = replica;
+      }
+      open_transitions += breaker->open_transitions();
+    }
+  }
+  return {state, open_transitions};
 }
 
 }  // namespace
@@ -45,8 +60,13 @@ void RetrievalService::Instruments::Register(obs::MetricsRegistry* registry) {
   degraded_admissions =
       registry->GetCounter("serving_degraded_admissions_total");
   flat_fallbacks = registry->GetCounter("serving_flat_fallbacks_total");
+  failovers = registry->GetCounter("serving_failovers_total");
+  timeouts = registry->GetCounter("serving_timeouts_total");
+  coverage = registry->GetHistogram("serving_coverage");
   const std::string requests = "serving_requests_total";
   served = registry->GetCounter(obs::WithLabel(requests, "outcome", "served"));
+  partial =
+      registry->GetCounter(obs::WithLabel(requests, "outcome", "partial"));
   shed = registry->GetCounter(obs::WithLabel(requests, "outcome", "shed"));
   expired =
       registry->GetCounter(obs::WithLabel(requests, "outcome", "expired"));
@@ -56,6 +76,8 @@ void RetrievalService::Instruments::Register(obs::MetricsRegistry* registry) {
   const std::string latency = "serving_latency_seconds";
   latency_served =
       registry->GetHistogram(obs::WithLabel(latency, "outcome", "served"));
+  latency_partial =
+      registry->GetHistogram(obs::WithLabel(latency, "outcome", "partial"));
   latency_shed =
       registry->GetHistogram(obs::WithLabel(latency, "outcome", "shed"));
   latency_expired =
@@ -113,6 +135,11 @@ Result<RetrievalService> RetrievalService::Build(
     return Status::InvalidArgument(
         "RetrievalService: database features contain NaN/Inf");
   }
+  if (!(options.router.quorum_coverage >= 0.0 &&
+        options.router.quorum_coverage <= 1.0)) {
+    return Status::InvalidArgument(
+        "RetrievalService: quorum_coverage must be in [0, 1]");
+  }
 
   RetrievalService service;
   service.options_ = options;
@@ -137,35 +164,44 @@ Result<RetrievalService> RetrievalService::Build(
   std::vector<std::vector<uint32_t>> codes;
   model->dsq().Encode(embedded, &codes);
 
-  // The search engine is one ReplicaSearcher — the same breaker-gated
-  // flat-ADC + optional-IVF + rerank unit a ClusterService replicates per
-  // shard. Instrumented under the service's historical metric names
-  // ("adc_*"/"ivf_*" scan telemetry, serving_flat_fallbacks_total).
-  SearcherOptions searcher_options;
-  searcher_options.rerank_pool = options.rerank_pool;
-  searcher_options.exact_rerank = options.exact_rerank;
-  searcher_options.use_ivf = options.use_ivf;
-  searcher_options.ivf = options.ivf;
-  searcher_options.breaker = options.breaker;
-  auto searcher = ReplicaSearcher::Build(embedded, model->Codebooks(), codes,
-                                         searcher_options);
-  if (!searcher.ok()) return searcher.status();
-  service.searcher_ =
-      std::make_unique<ReplicaSearcher>(std::move(searcher).value());
-  service.searcher_->InstrumentScans(service.metrics_.get(), "");
-  service.searcher_->set_flat_fallback_counter(service.inst_.flat_fallbacks);
+  // The index is a grid of breaker-gated flat-ADC + optional-IVF + rerank
+  // replicas behind health-driven failover; single-node is the 1 x 1 grid.
+  // Every replica records into the same "adc_*"/"ivf_*" instruments and
+  // serving_flat_fallbacks_total, so names do not depend on the topology.
+  ShardSetOptions shard_options;
+  shard_options.num_shards = options.num_shards;
+  shard_options.num_replicas = options.num_replicas;
+  shard_options.searcher.rerank_pool = options.rerank_pool;
+  shard_options.searcher.exact_rerank = options.exact_rerank;
+  shard_options.searcher.use_ivf = options.use_ivf;
+  shard_options.searcher.ivf = options.ivf;
+  shard_options.searcher.breaker = options.breaker;
+  shard_options.replica_admission = options.replica_admission;
+  auto shards =
+      ShardSet::Build(embedded, model->Codebooks(), codes, shard_options);
+  if (!shards.ok()) return shards.status();
+  auto shard_set = std::make_shared<ShardSet>(std::move(shards).value());
+  shard_set->Instrument(service.metrics_.get(), service.inst_.flat_fallbacks);
+  service.shards_ = shard_set;
   if (options.use_ivf) {
-    std::shared_ptr<CircuitBreaker> breaker = service.searcher_->breaker();
+    std::shared_ptr<const ShardSet> grid = service.shards_;
     service.metrics_->RegisterCallbackGauge(
-        "serving_breaker_state", [breaker]() {
+        "serving_breaker_state", [grid]() {
           // 0 closed, 1 open, 2 half-open.
-          return static_cast<double>(static_cast<int>(breaker->state()));
+          return static_cast<double>(
+              static_cast<int>(GridBreaker(*grid).first));
         });
     service.metrics_->RegisterCallbackGauge(
-        "serving_breaker_open_transitions", [breaker]() {
-          return static_cast<double>(breaker->open_transitions());
+        "serving_breaker_open_transitions", [grid]() {
+          return static_cast<double>(GridBreaker(*grid).second);
         });
   }
+  service.health_ = std::make_shared<ReplicaHealthMonitor>(
+      options.num_shards, options.num_replicas, options.health);
+  service.health_->InstrumentGauges(service.metrics_.get(), "serving_",
+                                    service.health_);
+  service.router_ = std::make_unique<Router>(service.shards_, service.health_,
+                                             options.router);
 
   if (options.drift.enabled) {
     obs::DriftDetector::Options drift_options;
@@ -232,15 +268,20 @@ ServiceStats StatsSince(const ServiceStats& later,
   window.admitted -= earlier.admitted;
   window.degraded_admissions -= earlier.degraded_admissions;
   window.served -= earlier.served;
+  window.partial -= earlier.partial;
   window.shed -= earlier.shed;
   window.expired -= earlier.expired;
   window.cancelled -= earlier.cancelled;
   window.failed -= earlier.failed;
   window.flat_fallbacks -= earlier.flat_fallbacks;
+  window.failovers -= earlier.failovers;
+  window.timeouts -= earlier.timeouts;
+  window.health_transitions -= earlier.health_transitions;
   window.breaker_open_transitions -= earlier.breaker_open_transitions;
   // in_flight and breaker_state are instantaneous, not cumulative: keep
   // the later reading.
   window.served_latency = later.served_latency.Delta(earlier.served_latency);
+  window.coverage = later.coverage.Delta(earlier.coverage);
   return window;
 }
 
@@ -287,8 +328,10 @@ Result<std::vector<ServedHit>> RetrievalService::ServeEmbedded(
   obs::ProfilePhase request_phase("request");
   // The whole post-embedding lifecycle runs on this thread (per-query scan
   // work is single-threaded; parallelism is across queries), so the
-  // thread-CPU delta is exactly the request's compute.
+  // thread-CPU delta is exactly the request's compute. With a router pool
+  // and several shards, scans on other workers are not in it.
   const uint64_t cpu_start = obs::ThreadCpuNowNanos();
+  RoutedResult routed;
   // Rolls the request's resource vector into the segmented cost counters
   // (overall always; head/mid/tail when the caller told us the bucket) and
   // hands it to the caller's RequestCost. Runs on every terminal path so
@@ -310,6 +353,9 @@ Result<std::vector<ServedHit>> RetrievalService::ServeEmbedded(
     if (cost != nullptr) {
       cost->cpu_ns = cpu_ns;
       cost->scan = scan;
+      cost->coverage = routed.coverage;
+      cost->shards_answered = routed.shards_answered;
+      cost->failovers = routed.failovers;
     }
     return cpu_ns;
   };
@@ -325,7 +371,7 @@ Result<std::vector<ServedHit>> RetrievalService::ServeEmbedded(
 
   AdmissionOutcome outcome;
   {
-    obs::Span admission_span = MaybeSpan(trace, "admission", parent);
+    obs::Span admission_span = obs::MaybeSpan(trace, "admission", parent);
     outcome = admission_->TryAdmit(observed_depth);
   }
   if (outcome == AdmissionOutcome::kShed) {
@@ -341,64 +387,54 @@ Result<std::vector<ServedHit>> RetrievalService::ServeEmbedded(
     inst_.degraded_admissions->Increment();
   }
 
-  bool used_fallback = false;
-  auto result = [&]() -> Result<std::vector<ServedHit>> {
-    obs::Span search_span = MaybeSpan(trace, "search", parent);
-    auto hits = searcher_->Search(query, top_k, control, degraded, trace,
-                                  trace ? &search_span : nullptr,
-                                  &used_fallback);
-    if (!hits.ok()) return hits.status();
-    std::vector<ServedHit> out(hits.value().size());
-    for (size_t i = 0; i < out.size(); ++i) {
-      out[i] = {hits.value()[i].id, hits.value()[i].distance};
-    }
-    return out;
-  }();
+  {
+    obs::Span search_span = obs::MaybeSpan(trace, "search", parent);
+    ScanControl routed_control = control;
+    routed_control.degraded = degraded;
+    routed = router_->Search(query, top_k, routed_control, trace,
+                             trace ? &search_span : nullptr);
+  }
   const double elapsed = timer.ElapsedSeconds();
-  if (result.ok()) {
-    inst_.served->Increment();
-    inst_.latency_served->Record(elapsed);
-    if (drift_ != nullptr) TickDrift();
-    // Shadow verification rides after the response is accounted: selection
-    // and budget are decided in Acquire(), the exact re-run happens on the
-    // pool (or inline when no pool is configured), never on the caller's
-    // latency path beyond one query copy.
-    if (shadow_ != nullptr && shadow_->Acquire()) {
-      std::vector<uint32_t> ids;
-      ids.reserve(result.value().size());
-      for (const ServedHit& hit : result.value()) ids.push_back(hit.id);
-      shadow_->Submit(query, std::move(ids));
+  inst_.failovers->Increment(routed.failovers);
+  inst_.timeouts->Increment(routed.timeouts);
+  // One outcome rule (DESIGN.md §9): an admitted request that comes back
+  // with hits is served, or partial when shards covering part of the
+  // database were missing; an admitted request without hits is expired,
+  // cancelled or failed — never shed, which is admission's verdict alone.
+  if (routed.status.ok()) {
+    inst_.coverage->Record(routed.coverage);
+    if (routed.coverage < 1.0) {
+      inst_.partial->Increment();
+      inst_.latency_partial->Record(elapsed);
+    } else {
+      inst_.served->Increment();
+      inst_.latency_served->Record(elapsed);
+      if (drift_ != nullptr) TickDrift();
     }
   } else {
-    CountOutcome(result.status(), elapsed);
+    CountOutcome(routed.status, elapsed);
   }
   const uint64_t cpu_ns = account_cost();
-  if (slow_log_ != nullptr &&
-      slow_log_->options().latency_threshold_seconds > 0.0 &&
-      elapsed >= slow_log_->options().latency_threshold_seconds) {
-    obs::SlowQueryRecord record;
-    record.kind = "latency";
-    record.outcome =
-        result.ok() ? "ok" : Status::CodeName(result.status().code());
-    record.trace_id = trace != nullptr ? trace->trace_id() : 0;
-    record.latency_seconds = elapsed;
-    record.explain.cpu_ns = cpu_ns;
-    if (control.stats != nullptr) {
-      record.explain.chunks = control.stats->chunks;
-      record.explain.items = control.stats->items;
-      record.explain.probed_cells = control.stats->probed_cells;
-      record.explain.codes_decoded = control.stats->codes_decoded;
-      record.explain.lut_builds = control.stats->lut_builds;
-      record.explain.shortlist = control.stats->shortlist;
-    }
-    record.explain.degraded = degraded;
-    record.explain.flat_fallback = used_fallback;
-    // The root query span is typically still open here (end_ns == 0); the
-    // closed child spans carry the useful timing.
-    if (trace != nullptr) record.spans = trace->Records();
-    slow_log_->Add(std::move(record));
+  MaybeCaptureSlowQuery(slow_log_.get(), routed, elapsed, trace, control.stats,
+                        cpu_ns, degraded);
+  if (!routed.status.ok()) return routed.status;
+
+  std::vector<ServedHit> hits(routed.hits.size());
+  for (size_t i = 0; i < hits.size(); ++i) {
+    hits[i] = {routed.hits[i].id, routed.hits[i].distance};
   }
-  return result;
+  // Shadow verification rides after the response is accounted: selection
+  // and budget are decided in Acquire(), the exact re-run happens on the
+  // pool (or inline when no pool is configured), never on the caller's
+  // latency path beyond one query copy. Partial answers are not verified
+  // against the whole database.
+  if (shadow_ != nullptr && routed.coverage >= 1.0 && shadow_->Acquire()) {
+    std::vector<uint32_t> ids;
+    ids.reserve(hits.size());
+    for (const ServedHit& hit : hits) ids.push_back(hit.id);
+    shadow_->Submit(query, std::move(ids));
+  }
+  return hits;
 }
 
 Result<std::vector<ServedHit>> RetrievalService::Query(const Matrix& features,
@@ -432,11 +468,11 @@ Result<std::vector<ServedHit>> RetrievalService::Query(
   if (slow_log_ != nullptr && trace == nullptr) {
     trace = &internal_trace;
   }
-  obs::Span query_span = MaybeSpan(trace, "query", nullptr);
+  obs::Span query_span = obs::MaybeSpan(trace, "query", nullptr);
   Matrix embedded;
   {
     obs::Span embed_span =
-        MaybeSpan(trace, "embed", trace ? &query_span : nullptr);
+        obs::MaybeSpan(trace, "embed", trace ? &query_span : nullptr);
     embedded = model_->Embed(features);
   }
   return ServeEmbedded(embedded.row(0), top_k, control,
@@ -526,22 +562,21 @@ ServiceStats RetrievalService::Stats() const {
   s.admitted = inst_.admitted->Value();
   s.degraded_admissions = inst_.degraded_admissions->Value();
   s.served = inst_.served->Value();
+  s.partial = inst_.partial->Value();
   s.shed = inst_.shed->Value();
   s.expired = inst_.expired->Value();
   s.cancelled = inst_.cancelled->Value();
   s.failed = inst_.failed->Value();
   s.flat_fallbacks = inst_.flat_fallbacks->Value();
+  s.failovers = inst_.failovers->Value();
+  s.timeouts = inst_.timeouts->Value();
+  s.health_transitions = health_->transition_count();
   s.in_flight = admission_->InFlight();
   s.served_latency = inst_.latency_served->Snapshot();
-  if (searcher_ && searcher_->breaker()) {
-    s.breaker_open_transitions = searcher_->breaker()->open_transitions();
-    s.breaker_state = searcher_->breaker()->state();
-  }
+  s.coverage = inst_.coverage->Snapshot();
+  std::tie(s.breaker_state, s.breaker_open_transitions) =
+      GridBreaker(*shards_);
   return s;
-}
-
-size_t RetrievalService::IndexMemoryBytes() const {
-  return searcher_ ? searcher_->MemoryBytes() : 0;
 }
 
 }  // namespace lightlt::serving

@@ -3,6 +3,12 @@
 // optional exact re-ranking of the candidate pool and optional IVF
 // acceleration for large databases.
 //
+// Topology (DESIGN.md §13): the index is always a ShardSet of num_shards x
+// num_replicas ReplicaSearchers behind a ReplicaHealthMonitor and a Router
+// over a LocalShardTransport. Single-node serving is the 1 x 1 grid; every
+// feature below (batching, shadow, drift, cost vectors, coverage, failover)
+// works at any shard and replica count.
+//
 // Robustness contract: artifacts are validated at Build (finite weights and
 // database features, consistent dimensions), non-finite query features are
 // rejected as InvalidArgument, and an IVF search that fails or comes up
@@ -10,11 +16,11 @@
 // query (observable via Stats().flat_fallbacks / degraded_query_count()).
 //
 // Request lifecycle (DESIGN.md §9): every query passes through
-//   deadline/cancel check → admission → (breaker-gated IVF | flat scan)
-//   → rerank → served
-// and ends in exactly one outcome — served, shed (kUnavailable), expired
-// (kDeadlineExceeded), cancelled (kCancelled) or failed — all visible in
-// the ServiceStats snapshot.
+//   deadline/cancel check → admission → router → per shard:
+//   (breaker-gated IVF | flat scan) → rerank → merge → served
+// and ends in exactly one outcome — served, partial (coverage < 1), shed
+// (refused by admission), expired (kDeadlineExceeded), cancelled
+// (kCancelled) or failed — all visible in the ServiceStats snapshot.
 
 #ifndef LIGHTLT_SERVING_SERVICE_H_
 #define LIGHTLT_SERVING_SERVICE_H_
@@ -33,6 +39,8 @@
 #include "src/obs/trace.h"
 #include "src/serving/admission.h"
 #include "src/serving/circuit_breaker.h"
+#include "src/serving/health.h"
+#include "src/serving/router.h"
 #include "src/serving/shadow.h"
 #include "src/serving/shard.h"
 #include "src/util/deadline.h"
@@ -94,6 +102,18 @@ struct ServiceOptions {
   obs::SlowQueryLog::Options slow_query;
   /// Scan-distribution drift self-monitoring; off by default.
   ServiceDriftOptions drift;
+  /// Topology: contiguous row partitions, and independent replicas of each.
+  size_t num_shards = 1;
+  size_t num_replicas = 1;
+  /// Per-replica admission budget, beside the service-wide `admission`.
+  /// Defaults admit everything.
+  AdmissionOptions replica_admission;
+  /// Replica health state machine. It applies to a lone replica too: with
+  /// the defaults, three consecutive failures take it out of rotation for
+  /// the 5 s cooldown.
+  HealthOptions health;
+  /// Failover, quorum and scatter pool (null pool: shards run inline).
+  RouterOptions router;
 };
 
 /// Per-request resource vector (DESIGN.md §16): what one request actually
@@ -102,7 +122,13 @@ struct ServiceOptions {
 /// scan stats are the index layer's exact per-request accounting.
 struct RequestCost {
   uint64_t cpu_ns = 0;
+  /// Sum of the shards' scan accounting.
   ScanStats scan;
+  /// Fan-out: fraction of database rows behind the answer, shards that
+  /// answered, and replica attempts beyond the first.
+  double coverage = 0.0;
+  uint32_t shards_answered = 0;
+  uint32_t failovers = 0;
 };
 
 /// Per-request lifecycle knobs. Default: no deadline, not cancellable.
@@ -110,9 +136,10 @@ struct RequestOptions {
   Deadline deadline;
   CancellationToken cancel;
   /// Opt-in span tracing for single-query calls: Query() records the
-  /// query → embed / admission / search → (ivf_route|adc_scan) / rerank
-  /// tree into this trace. Null (default) costs one branch per span site.
-  /// QueryBatch rows are not traced (metrics cover the aggregate path).
+  /// query → embed / admission / search → router → shard_<s> →
+  /// (ivf_route|adc_scan) / rerank tree into this trace. Null (default)
+  /// costs one branch per span site. QueryBatch rows are not traced
+  /// (metrics cover the aggregate path).
   obs::Trace* trace = nullptr;
   /// When set, Query() fills it with the request's resource vector. Must
   /// outlive the call and belong to this request alone, so QueryBatch
@@ -131,21 +158,27 @@ struct ServedHit {
 };
 
 /// Point-in-time counter snapshot; every terminal request outcome
-/// increments exactly one of served/shed/expired/cancelled/failed.
+/// increments exactly one of served/partial/shed/expired/cancelled/failed.
 struct ServiceStats {
   uint64_t admitted = 0;    // passed admission (includes degraded)
   uint64_t degraded_admissions = 0;  // admitted in degraded mode
-  uint64_t served = 0;      // returned hits to the caller
+  uint64_t served = 0;      // returned hits over the whole database
+  uint64_t partial = 0;     // returned hits with coverage < 1
   uint64_t shed = 0;        // rejected by admission (kUnavailable)
   uint64_t expired = 0;     // kDeadlineExceeded
   uint64_t cancelled = 0;   // kCancelled
   uint64_t failed = 0;      // any other terminal error after admission
   uint64_t flat_fallbacks = 0;  // served by flat scan though IVF was on
-  uint64_t breaker_open_transitions = 0;
+  uint64_t failovers = 0;   // replica attempts beyond the first
+  uint64_t timeouts = 0;    // attempts that burned their sub-deadline
+  uint64_t health_transitions = 0;  // replica health state changes
+  uint64_t breaker_open_transitions = 0;  // summed over replicas
   uint64_t in_flight = 0;
-  BreakerState breaker_state = BreakerState::kClosed;
+  BreakerState breaker_state = BreakerState::kClosed;  // most open replica
   /// Served-request latency distribution at snapshot time (cumulative).
   obs::HistogramSnapshot served_latency;
+  /// Coverage of successful (served + partial) requests.
+  obs::HistogramSnapshot coverage;
 };
 
 /// Windowed view between two Stats() snapshots of the same service: counter
@@ -178,9 +211,14 @@ class RetrievalService {
       const Matrix& features, size_t top_k, ThreadPool* pool = nullptr,
       const RequestOptions& request = {}) const;
 
-  size_t num_items() const { return searcher_ ? searcher_->num_items() : 0; }
-  size_t IndexMemoryBytes() const;
+  size_t num_items() const { return shards_->total_items(); }
+  size_t IndexMemoryBytes() const { return shards_->MemoryBytes(); }
   const ServiceOptions& options() const { return options_; }
+
+  /// The serving grid, its health monitor and the router over them.
+  const ShardSet& shards() const { return *shards_; }
+  ReplicaHealthMonitor& health() const { return *health_; }
+  const Router& router() const { return *router_; }
 
   /// Lifecycle counters as a point-in-time view over the metrics registry.
   /// Exact, not sampled: every outcome increments exactly one registry
@@ -228,13 +266,19 @@ class RetrievalService {
     obs::Counter* admitted = nullptr;
     obs::Counter* degraded_admissions = nullptr;
     obs::Counter* served = nullptr;
+    obs::Counter* partial = nullptr;
     obs::Counter* shed = nullptr;
     obs::Counter* expired = nullptr;
     obs::Counter* cancelled = nullptr;
     obs::Counter* failed = nullptr;
     obs::Counter* flat_fallbacks = nullptr;
+    obs::Counter* failovers = nullptr;
+    obs::Counter* timeouts = nullptr;
+    /// Coverage of successful requests.
+    obs::Histogram* coverage = nullptr;
     /// Request latency per terminal outcome, seconds.
     obs::Histogram* latency_served = nullptr;
+    obs::Histogram* latency_partial = nullptr;
     obs::Histogram* latency_shed = nullptr;
     obs::Histogram* latency_expired = nullptr;
     obs::Histogram* latency_cancelled = nullptr;
@@ -259,7 +303,7 @@ class RetrievalService {
   void CountOutcome(const Status& status, double elapsed_seconds) const;
 
   /// Full post-embedding lifecycle for one query: deadline/cancel check,
-  /// admission, breaker-gated search, outcome and cost accounting. `trace`
+  /// admission, routed search, outcome and cost accounting. `trace`
   /// (may be null) hangs lifecycle spans under `parent`; `class_bucket`
   /// segments the cost counters; `cost` (may be null) receives the
   /// request's resource vector.
@@ -294,9 +338,9 @@ class RetrievalService {
 
   ServiceOptions options_;
   std::shared_ptr<const core::LightLtModel> model_;
-  /// The breaker-gated search engine (flat ADC + optional IVF + rerank) —
-  /// the same unit a ClusterService replicates per shard.
-  std::unique_ptr<ReplicaSearcher> searcher_;
+  std::shared_ptr<const ShardSet> shards_;
+  std::shared_ptr<ReplicaHealthMonitor> health_;
+  std::unique_ptr<Router> router_;
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   Instruments inst_;
   std::shared_ptr<AdmissionController> admission_;

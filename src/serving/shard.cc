@@ -14,13 +14,6 @@ namespace {
 /// Rerank hits checked this often against the request deadline/token.
 constexpr size_t kRerankCheckEvery = 64;
 
-obs::Span MaybeSpan(obs::Trace* trace, const char* name,
-                    const obs::Span* parent) {
-  if (trace == nullptr) return obs::Span();
-  if (parent != nullptr) return trace->StartSpan(name, *parent);
-  return trace->StartSpan(name);
-}
-
 }  // namespace
 
 Result<ReplicaSearcher> ReplicaSearcher::Build(
@@ -51,12 +44,13 @@ Result<ReplicaSearcher> ReplicaSearcher::Build(
   return searcher;
 }
 
-void ReplicaSearcher::InstrumentScans(obs::MetricsRegistry* registry,
-                                      const std::string& prefix) {
-  if (ivf_ == nullptr) return adc_->Instrument(registry, prefix + "adc_");
+void ReplicaSearcher::Instrument(obs::MetricsRegistry* registry,
+                                 obs::Counter* flat_fallbacks) {
+  flat_fallbacks_ = flat_fallbacks;
+  if (ivf_ == nullptr) return adc_->Instrument(registry, "adc_");
   // The fallback scans the IVF store whole; it reports as a flat scan.
-  ivf_->store().Instrument(registry, prefix + "adc_");
-  ivf_->Instrument(registry, prefix + "ivf_");
+  ivf_->store().Instrument(registry, "adc_");
+  ivf_->Instrument(registry, "ivf_");
 }
 
 Result<std::vector<index::SearchHit>> ReplicaSearcher::Search(
@@ -73,7 +67,7 @@ Result<std::vector<index::SearchHit>> ReplicaSearcher::Search(
   std::vector<index::SearchHit> hits;
   bool have_hits = false;
   if (ivf_ != nullptr && !degraded) {
-    obs::Span ivf_span = MaybeSpan(trace, "ivf_route", parent);
+    obs::Span ivf_span = obs::MaybeSpan(trace, "ivf_route", parent);
     // Graceful degradation: the store covers the whole partition, so if
     // the IVF path fails or its probed cells yield fewer candidates than a
     // scan of every cell would, fall back rather than fail or silently
@@ -106,14 +100,14 @@ Result<std::vector<index::SearchHit>> ReplicaSearcher::Search(
     }
   }
   if (!have_hits) {
-    obs::Span scan_span = MaybeSpan(trace, "adc_scan", parent);
+    obs::Span scan_span = obs::MaybeSpan(trace, "adc_scan", parent);
     auto flat = codes.SearchSlots(query, pool, control);
     if (!flat.ok()) return flat.status();
     hits = std::move(flat).value();
   }
 
   if (rerank) {
-    obs::Span rerank_span = MaybeSpan(trace, "rerank", parent);
+    obs::Span rerank_span = obs::MaybeSpan(trace, "rerank", parent);
     obs::ProfilePhase rerank_phase("rerank");
     // Re-rank the pool by exact distance to the reconstructions: the ADC
     // score already is that distance up to a query-constant, so re-ranking
@@ -175,15 +169,9 @@ Result<ShardSet> ShardSet::Build(
 
   set.replicas_.reserve(shards * options.num_replicas);
   set.admissions_.reserve(shards * options.num_replicas);
-  for (size_t s = 0; s < shards; ++s) {
-    const size_t begin = set.offsets_[s];
-    const size_t rows = set.offsets_[s + 1] - begin;
-    Matrix part(rows, embedded.cols());
-    std::copy(embedded.row(begin), embedded.row(begin) + rows * embedded.cols(),
-              part.data());
-    const std::vector<std::vector<uint32_t>> part_codes(
-        codes.begin() + static_cast<ptrdiff_t>(begin),
-        codes.begin() + static_cast<ptrdiff_t>(begin + rows));
+  const auto build_replicas =
+      [&](const Matrix& part,
+          const std::vector<std::vector<uint32_t>>& part_codes) -> Status {
     for (size_t r = 0; r < options.num_replicas; ++r) {
       // Replicas are deliberately independent copies — index, breaker and
       // admission budget — so per-replica failure injection and health
@@ -196,6 +184,23 @@ Result<ShardSet> ShardSet::Build(
       set.admissions_.push_back(
           std::make_shared<AdmissionController>(options.replica_admission));
     }
+    return Status::Ok();
+  };
+  // One shard covers the whole database: build from it without copying.
+  if (shards == 1) {
+    LIGHTLT_RETURN_IF_ERROR(build_replicas(embedded, codes));
+    return set;
+  }
+  for (size_t s = 0; s < shards; ++s) {
+    const size_t begin = set.offsets_[s];
+    const size_t rows = set.offsets_[s + 1] - begin;
+    Matrix part(rows, embedded.cols());
+    std::copy(embedded.row(begin), embedded.row(begin) + rows * embedded.cols(),
+              part.data());
+    const std::vector<std::vector<uint32_t>> part_codes(
+        codes.begin() + static_cast<ptrdiff_t>(begin),
+        codes.begin() + static_cast<ptrdiff_t>(begin + rows));
+    LIGHTLT_RETURN_IF_ERROR(build_replicas(part, part_codes));
   }
   return set;
 }
@@ -241,11 +246,11 @@ ReplicaAttempt ShardSet::SearchReplica(size_t shard, size_t replica,
     return attempt;
   }
   AdmissionTicket ticket(admissions_[flat].get());
-  const bool degraded = outcome == AdmissionOutcome::kDegrade;
+  const bool degraded =
+      control.degraded || outcome == AdmissionOutcome::kDegrade;
 
   auto result = replicas_[flat]->Search(query, top_k, control, degraded,
-                                        trace, parent,
-                                        /*used_fallback=*/nullptr);
+                                        trace, parent, &attempt.flat_fallback);
   attempt.latency_seconds = timer.ElapsedSeconds();
   if (!result.ok()) {
     attempt.status = result.status();
@@ -265,17 +270,8 @@ size_t ShardSet::MemoryBytes() const {
 }
 
 void ShardSet::Instrument(obs::MetricsRegistry* registry,
-                          const std::string& prefix) {
-  for (size_t s = 0; s < options_.num_shards; ++s) {
-    for (size_t r = 0; r < options_.num_replicas; ++r) {
-      ReplicaSearcher* searcher = replicas_[s * options_.num_replicas + r].get();
-      const std::string replica_prefix =
-          prefix + "s" + std::to_string(s) + "_r" + std::to_string(r) + "_";
-      searcher->InstrumentScans(registry, replica_prefix);
-      searcher->set_flat_fallback_counter(
-          registry->GetCounter(replica_prefix + "flat_fallbacks_total"));
-    }
-  }
+                          obs::Counter* flat_fallbacks) {
+  for (auto& replica : replicas_) replica->Instrument(registry, flat_fallbacks);
 }
 
 }  // namespace lightlt::serving

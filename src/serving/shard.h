@@ -1,12 +1,11 @@
 // Sharded search building blocks (DESIGN.md §13).
 //
-// ReplicaSearcher is the single-partition search engine extracted from
-// RetrievalService: one code store covering its partition — a flat ADC
-// index, or the cell-ordered store of an IVF index behind a CircuitBreaker
-// — and the optional exact re-rank, with the same degradation ladder
-// (breaker-gated IVF → scan of every cell) and the same deterministic
-// (distance, id) ordering. One RetrievalService owns exactly one; a
-// ShardSet owns a grid of them.
+// ReplicaSearcher is the single-partition search engine: one code store
+// covering its partition — a flat ADC index, or the cell-ordered store of
+// an IVF index behind a CircuitBreaker — and the optional exact re-rank,
+// with a degradation ladder (breaker-gated IVF → scan of every cell) and
+// deterministic (distance, id) ordering. A ShardSet owns a grid of them;
+// a single-node RetrievalService is the 1 x 1 grid.
 //
 // ShardSet partitions a database's rows into `num_shards` contiguous
 // ranges and builds `num_replicas` independent ReplicaSearcher copies per
@@ -37,8 +36,7 @@
 
 namespace lightlt::serving {
 
-/// Per-searcher configuration, shared by the single-node service and every
-/// cluster replica.
+/// Per-searcher configuration, shared by every replica of a ShardSet.
 struct SearcherOptions {
   /// Candidate pool size fetched before re-ranking; 0 = exactly top_k.
   size_t rerank_pool = 0;
@@ -77,17 +75,10 @@ class ReplicaSearcher {
                                                const obs::Span* parent,
                                                bool* used_fallback) const;
 
-  /// Registers `{prefix}adc_*` / `{prefix}ivf_*` scan instruments. Call
-  /// once after Build; the registry must outlive the searcher's scans.
-  void InstrumentScans(obs::MetricsRegistry* registry,
-                       const std::string& prefix);
-
-  /// Counter bumped whenever the flat scan serves although IVF was enabled.
-  /// The owner names it (the single-node service reuses its historical
-  /// `serving_flat_fallbacks_total`; ShardSet registers one per replica).
-  void set_flat_fallback_counter(obs::Counter* counter) {
-    flat_fallbacks_ = counter;
-  }
+  /// Records scans into the registry's `adc_*` / `ivf_*` instruments and
+  /// bumps `flat_fallbacks` whenever the flat scan serves although IVF was
+  /// enabled. Call once after Build; the registry must outlive the scans.
+  void Instrument(obs::MetricsRegistry* registry, obs::Counter* flat_fallbacks);
 
   size_t num_items() const { return store().num_items(); }
   size_t dim() const { return store().dim(); }
@@ -98,9 +89,6 @@ class ReplicaSearcher {
   bool has_ivf() const { return ivf_ != nullptr; }
   /// Null unless IVF is enabled. Shared so callback gauges can co-own it.
   const std::shared_ptr<CircuitBreaker>& breaker() const { return breaker_; }
-  uint64_t flat_fallback_count() const {
-    return flat_fallbacks_ ? flat_fallbacks_->Value() : 0;
-  }
 
  private:
   ReplicaSearcher() = default;
@@ -136,6 +124,8 @@ struct ReplicaAttempt {
   /// The replica shed the request at its admission budget (kUnavailable
   /// with no health verdict about the replica's machinery).
   bool shed = false;
+  /// IVF was enabled but the flat scan served (in-process replicas only).
+  bool flat_fallback = false;
 };
 
 /// A grid of num_shards x num_replicas ReplicaSearchers over contiguous
@@ -152,8 +142,10 @@ class ShardSet {
                                 const ShardSetOptions& options);
 
   /// One search attempt on (shard, replica): chaos hook → admission →
-  /// breaker-gated search, local ids translated to global. Never throws;
-  /// all failure modes land in ReplicaAttempt::status.
+  /// breaker-gated search, local ids translated to global. The search
+  /// runs degraded when `control.degraded` or the replica's own admission
+  /// says so. Never throws; all failure modes land in
+  /// ReplicaAttempt::status.
   ReplicaAttempt SearchReplica(size_t shard, size_t replica,
                                const float* query, size_t top_k,
                                const ScanControl& control,
@@ -175,9 +167,10 @@ class ShardSet {
     return *replicas_[shard * options_.num_replicas + replica];
   }
 
-  /// Registers per-replica instruments under
-  /// `{prefix}s<shard>_r<replica>_...`.
-  void Instrument(obs::MetricsRegistry* registry, const std::string& prefix);
+  /// Instruments every replica (ReplicaSearcher::Instrument): the grid's
+  /// scans share one set of `adc_*` / `ivf_*` instruments, so names and
+  /// drift watches are the same at any shard count.
+  void Instrument(obs::MetricsRegistry* registry, obs::Counter* flat_fallbacks);
 
  private:
   ShardSet() = default;

@@ -113,6 +113,17 @@ struct ScanStats {
   uint64_t codes_decoded = 0;  ///< quantized codes expanded for exact scores
   uint64_t lut_builds = 0;     ///< per-query ADC lookup-table constructions
   uint64_t shortlist = 0;      ///< fast-scan candidates sent to re-rank
+
+  /// Field-wise sum: a routed request's stats are the sum of its shards'.
+  ScanStats& operator+=(const ScanStats& other) {
+    chunks += other.chunks;
+    items += other.items;
+    probed_cells += other.probed_cells;
+    codes_decoded += other.codes_decoded;
+    lut_builds += other.lut_builds;
+    shortlist += other.shortlist;
+    return *this;
+  }
 };
 
 /// Cooperative controls a scan loop polls between chunks. Trivial controls
@@ -126,6 +137,10 @@ struct ScanControl {
   /// outlive the scan and belong to this request alone: batch paths that
   /// share one ScanControl across rows must leave it null.
   ScanStats* stats = nullptr;
+  /// The request was admitted in degraded mode: searchers skip optional
+  /// work (IVF path, over-fetch, re-rank). In-process replicas only; the
+  /// wire frame does not carry it, so remote shards ignore it.
+  bool degraded = false;
 
   bool Trivial() const {
     return deadline.IsInfinite() && !cancel.CanBeCancelled();

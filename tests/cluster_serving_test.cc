@@ -1,10 +1,12 @@
-// Cluster serving chaos harness (DESIGN.md §13): sharded scatter-gather
-// with replica health, failover and partial-result degradation. Drives the
-// ReplicaHealthMonitor state machine on a manual clock, proves the router's
-// 1-vs-N merge is bit-identical when healthy, kills replicas and whole
-// shards with deterministic ChaosPlan rules asserting exact ClusterStats
-// counters, and hammers the stack concurrently for the TSan preset. Built
-// as its own ctest target with the `cluster` label (tools/run_chaos.sh).
+// Cluster serving chaos harness (DESIGN.md §13): RetrievalService over a
+// sharded, replicated grid — scatter-gather with replica health, failover
+// and partial-result degradation. Drives the ReplicaHealthMonitor state
+// machine on a manual clock, proves the router's 1-vs-N merge is
+// bit-identical when healthy (single queries and QueryBatch, flat and IVF),
+// kills replicas and whole shards with deterministic ChaosPlan rules
+// asserting exact ServiceStats counters, and hammers the stack concurrently
+// for the TSan preset. Built as its own ctest target with the `cluster`
+// label (tools/run_chaos.sh).
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -70,10 +73,10 @@ struct ChaosGuard {
   ~ChaosGuard() { DisarmChaos(); }
 };
 
-/// Dumps the cluster's metrics registry to stderr when the enclosing test
+/// Dumps the service's metrics registry to stderr when the enclosing test
 /// fails (gated on LIGHTLT_CHAOS_DUMP_METRICS, set by tools/run_chaos.sh).
 struct MetricsDumpOnFailure {
-  const ClusterService* cluster = nullptr;
+  const RetrievalService* cluster = nullptr;
   ~MetricsDumpOnFailure() {
     if (cluster != nullptr && ::testing::Test::HasFailure() &&
         std::getenv("LIGHTLT_CHAOS_DUMP_METRICS") != nullptr) {
@@ -83,9 +86,20 @@ struct MetricsDumpOnFailure {
   }
 };
 
-uint64_t TotalOutcomes(const ClusterStats& s) {
+uint64_t TotalOutcomes(const ServiceStats& s) {
   return s.served + s.partial + s.shed + s.expired + s.cancelled + s.failed;
 }
+
+/// One query with its resource vector, whose fan-out fields say how much
+/// of the database stood behind the answer.
+Result<std::vector<ServedHit>> QueryWithCost(const RetrievalService& service,
+                                             const Matrix& query,
+                                             size_t top_k, RequestCost* cost,
+                                             RequestOptions request = {}) {
+  request.cost = cost;
+  return service.Query(query, top_k, request);
+}
+
 
 // ---------------------------------------------------------------------------
 // Health state machine
@@ -276,39 +290,39 @@ TEST(ClusterServingTest, ShardedTopKIsBitIdenticalToSingleShardAndService) {
       RetrievalService::Build(f.model, f.bench.database.features, service_opts);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
-  ClusterOptions one;
+  ServiceOptions one = service_opts;
   one.num_shards = 1;
   one.num_replicas = 1;
-  one.searcher.exact_rerank = true;
-  one.searcher.rerank_pool = 10;
-  auto single = ClusterService::Build(f.model, f.bench.database.features, one);
+  auto single = RetrievalService::Build(f.model, f.bench.database.features, one);
   ASSERT_TRUE(single.ok()) << single.status().ToString();
 
-  ClusterOptions many = one;
+  ServiceOptions many = one;
   many.num_shards = 3;
   many.num_replicas = 2;
-  auto sharded = ClusterService::Build(f.model, f.bench.database.features, many);
+  auto sharded =
+      RetrievalService::Build(f.model, f.bench.database.features, many);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  EXPECT_EQ(sharded.value().num_shards(), 3u);
+  EXPECT_EQ(sharded.value().shards().num_shards(), 3u);
 
-  // Every query: the 3x2 cluster, the 1x1 cluster and the single-node
+  // Every query: the 3x2 grid, the explicit 1x1 grid and the default
   // service must return the same ids and bit-identical distances — the ADC
   // distance of an item does not depend on which partition holds it, and
   // the (distance, id) merge is exact.
   const size_t queries = f.bench.query.features.rows();
   for (size_t q = 0; q < queries; ++q) {
     const Matrix query = f.bench.query.features.RowCopy(q);
+    RequestCost cost;
     auto from_service = service.value().Query(query, 5);
     auto from_single = single.value().Query(query, 5);
-    auto from_sharded = sharded.value().Query(query, 5);
+    auto from_sharded = QueryWithCost(sharded.value(), query, 5, &cost);
     ASSERT_TRUE(from_service.ok());
     ASSERT_TRUE(from_single.ok());
     ASSERT_TRUE(from_sharded.ok());
-    EXPECT_DOUBLE_EQ(from_sharded.value().coverage, 1.0);
-    EXPECT_EQ(from_sharded.value().shards_answered, 3u);
+    EXPECT_DOUBLE_EQ(cost.coverage, 1.0);
+    EXPECT_EQ(cost.shards_answered, 3u);
     const auto& a = from_service.value();
-    const auto& b = from_single.value().hits;
-    const auto& c = from_sharded.value().hits;
+    const auto& b = from_single.value();
+    const auto& c = from_sharded.value();
     ASSERT_EQ(a.size(), 5u);
     ASSERT_EQ(b.size(), 5u);
     ASSERT_EQ(c.size(), 5u);
@@ -321,6 +335,145 @@ TEST(ClusterServingTest, ShardedTopKIsBitIdenticalToSingleShardAndService) {
   }
 }
 
+// QueryBatch rows fan out through the router too: a 3x2 grid answers every
+// row exactly like the 1x1 service, on a flat index and on IVF (probing
+// every cell, so each partition's IVF scans its whole store and the
+// candidate set cannot depend on how the cells were trained).
+TEST(ClusterServingTest, QueryBatchOnShardedGridMatchesSingleNodeBitForBit) {
+  auto f = MakeFixture();
+  ThreadPool pool(2);
+  for (const bool ivf : {false, true}) {
+    SCOPED_TRACE(ivf ? "ivf" : "flat");
+    ServiceOptions one;
+    if (ivf) {
+      one.use_ivf = true;
+      one.ivf.num_cells = 4;
+      one.ivf.nprobe = 4;
+      one.exact_rerank = true;
+      one.rerank_pool = 10;
+    }
+    ServiceOptions many = one;
+    many.num_shards = 3;
+    many.num_replicas = 2;
+    many.router.pool = &pool;  // shard tasks nest under the batch's rows
+    auto single =
+        RetrievalService::Build(f.model, f.bench.database.features, one);
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    auto sharded =
+        RetrievalService::Build(f.model, f.bench.database.features, many);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+
+    auto a = single.value().QueryBatch(f.bench.query.features, 5, &pool);
+    auto b = sharded.value().QueryBatch(f.bench.query.features, 5, &pool);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    ASSERT_EQ(a.value().size(), f.bench.query.features.rows());
+    ASSERT_EQ(b.value().size(), a.value().size());
+    for (size_t q = 0; q < a.value().size(); ++q) {
+      ASSERT_TRUE(a.value()[q].ok()) << a.value()[q].status().ToString();
+      ASSERT_TRUE(b.value()[q].ok()) << b.value()[q].status().ToString();
+      const auto& x = a.value()[q].value();
+      const auto& y = b.value()[q].value();
+      ASSERT_EQ(x.size(), 5u);
+      ASSERT_EQ(y.size(), 5u);
+      for (size_t i = 0; i < 5; ++i) {
+        EXPECT_EQ(x[i].id, y[i].id) << "row " << q;
+        EXPECT_EQ(x[i].distance, y[i].distance) << "row " << q;
+      }
+    }
+    EXPECT_EQ(sharded.value().Stats().served, a.value().size());
+    EXPECT_EQ(sharded.value().Stats().flat_fallbacks, 0u);
+  }
+}
+
+// Cost vectors stay exact at any shard count: each shard task fills its own
+// ScanStats and the router sums them, so under a concurrent storm the
+// serving_cost_* counters equal the sum of the per-request vectors, and one
+// request's scan accounting equals the sum of its shards' scans.
+TEST(ClusterServingTest, CostVectorsAreSumsOfShardScansUnderStorm) {
+  auto f = MakeFixture();
+  ThreadPool router_pool(2);
+  ServiceOptions opts;
+  opts.num_shards = 3;
+  opts.num_replicas = 2;
+  opts.router.pool = &router_pool;
+  auto built = RetrievalService::Build(f.model, f.bench.database.features, opts);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const RetrievalService& service = built.value();
+  MetricsDumpOnFailure dump{&service};
+
+  const size_t rows = f.bench.query.features.rows();
+  const size_t n = 240;
+  std::vector<RequestCost> costs(n);
+  std::atomic<uint64_t> served{0};
+  ParallelFor(&GlobalThreadPool(), n, [&](size_t i) {
+    RequestOptions ro;
+    ro.class_bucket = static_cast<int>(i % 3);
+    const auto result = QueryWithCost(
+        service, f.bench.query.features.RowCopy(i % rows), 5, &costs[i], ro);
+    if (result.ok()) served.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(served.load(), n);
+
+  uint64_t want_cpu[obs::kNumRecallSegments] = {};
+  uint64_t want_items[obs::kNumRecallSegments] = {};
+  uint64_t want_codes[obs::kNumRecallSegments] = {};
+  uint64_t want_luts[obs::kNumRecallSegments] = {};
+  uint64_t want_shortlist[obs::kNumRecallSegments] = {};
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(costs[i].shards_answered, 3u);
+    for (const size_t s : {size_t{0}, 1 + i % 3}) {
+      want_cpu[s] += costs[i].cpu_ns;
+      want_items[s] += costs[i].scan.items;
+      want_codes[s] += costs[i].scan.codes_decoded;
+      want_luts[s] += costs[i].scan.lut_builds;
+      want_shortlist[s] += costs[i].scan.shortlist;
+    }
+  }
+  // A flat scan of every shard scores the whole database once per request.
+  EXPECT_EQ(want_items[0], n * service.num_items());
+  obs::MetricsRegistry& registry = service.Metrics();
+  for (size_t s = 0; s < obs::kNumRecallSegments; ++s) {
+    const std::string segment = obs::RecallSegmentName(s);
+    const auto value = [&](const std::string& base) {
+      return registry.GetCounter(obs::WithLabel(base, "segment", segment))
+          ->Value();
+    };
+    EXPECT_EQ(value("serving_cost_cpu_ns_total"), want_cpu[s]) << segment;
+    EXPECT_EQ(value("serving_cost_items_total"), want_items[s]) << segment;
+    EXPECT_EQ(value("serving_cost_codes_decoded_total"), want_codes[s])
+        << segment;
+    EXPECT_EQ(value("serving_cost_lut_builds_total"), want_luts[s])
+        << segment;
+    EXPECT_EQ(value("serving_cost_shortlist_total"), want_shortlist[s])
+        << segment;
+  }
+
+  // One request against its shards, scanned one by one.
+  const Matrix query = f.bench.query.features.RowCopy(0);
+  RequestCost cost;
+  ASSERT_TRUE(QueryWithCost(service, query, 5, &cost).ok());
+  const Matrix embedded = f.model->Embed(query);
+  ScanStats shards_sum;
+  for (size_t s = 0; s < service.shards().num_shards(); ++s) {
+    ScanStats shard;
+    ScanControl control;
+    control.stats = &shard;
+    ASSERT_TRUE(service.shards()
+                    .searcher(s, 0)
+                    .Search(embedded.row(0), 5, control, false, nullptr,
+                            nullptr, nullptr)
+                    .ok());
+    EXPECT_EQ(shard.items, service.shards().shard_items(s));
+    shards_sum += shard;
+  }
+  EXPECT_EQ(cost.scan.items, shards_sum.items);
+  EXPECT_EQ(cost.scan.chunks, shards_sum.chunks);
+  EXPECT_EQ(cost.scan.lut_builds, shards_sum.lut_builds);
+  EXPECT_EQ(cost.scan.shortlist, shards_sum.shortlist);
+  EXPECT_EQ(cost.scan.codes_decoded, shards_sum.codes_decoded);
+}
+
 // ---------------------------------------------------------------------------
 // Failover and degradation under chaos
 // ---------------------------------------------------------------------------
@@ -328,12 +481,12 @@ TEST(ClusterServingTest, ShardedTopKIsBitIdenticalToSingleShardAndService) {
 TEST(ClusterServingTest, KillingOneReplicaOfEveryShardCostsNoQueries) {
   ChaosGuard guard;
   auto f = MakeFixture();
-  ClusterOptions opts;
+  ServiceOptions opts;
   opts.num_shards = 3;
   opts.num_replicas = 2;
-  auto built = ClusterService::Build(f.model, f.bench.database.features, opts);
+  auto built = RetrievalService::Build(f.model, f.bench.database.features, opts);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const ClusterService& cluster = built.value();
+  const RetrievalService& cluster = built.value();
   MetricsDumpOnFailure dump{&cluster};
   const Matrix query = f.bench.query.features.RowCopy(0);
 
@@ -347,17 +500,18 @@ TEST(ClusterServingTest, KillingOneReplicaOfEveryShardCostsNoQueries) {
   ArmChaos(plan);
 
   for (int i = 0; i < 8; ++i) {
-    auto r = cluster.Query(query, 3);
+    RequestCost cost;
+    auto r = QueryWithCost(cluster, query, 3, &cost);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_DOUBLE_EQ(r.value().coverage, 1.0);  // zero coverage lost
-    EXPECT_EQ(r.value().shards_answered, 3u);
-    EXPECT_EQ(r.value().hits.size(), 3u);
+    EXPECT_DOUBLE_EQ(cost.coverage, 1.0);  // zero coverage lost
+    EXPECT_EQ(cost.shards_answered, 3u);
+    EXPECT_EQ(r.value().size(), 3u);
   }
 
   // Exact bookkeeping. Query 1 pays one failover per shard (replica 0 is
   // still ranked first while healthy); every later query goes straight to
   // the surviving replica because the failure demoted replica 0 below it.
-  const ClusterStats stats = cluster.Stats();
+  const ServiceStats stats = cluster.Stats();
   EXPECT_EQ(stats.served, 8u);
   EXPECT_EQ(stats.partial, 0u);
   EXPECT_EQ(stats.shed, 0u);
@@ -375,15 +529,15 @@ TEST(ClusterServingTest, KillingOneReplicaOfEveryShardCostsNoQueries) {
 TEST(ClusterServingTest, WholeShardDownDegradesToPartialWithExactStats) {
   ChaosGuard guard;
   auto f = MakeFixture();
-  ClusterOptions opts;
+  ServiceOptions opts;
   opts.num_shards = 3;
   opts.num_replicas = 2;
   opts.health.failures_to_suspect = 1;
   opts.health.failures_to_down = 2;
   opts.health.down_cooldown_seconds = 3600.0;  // no probing inside the test
-  auto built = ClusterService::Build(f.model, f.bench.database.features, opts);
+  auto built = RetrievalService::Build(f.model, f.bench.database.features, opts);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const ClusterService& cluster = built.value();
+  const RetrievalService& cluster = built.value();
   MetricsDumpOnFailure dump{&cluster};
   const Matrix query = f.bench.query.features.RowCopy(0);
 
@@ -404,12 +558,13 @@ TEST(ClusterServingTest, WholeShardDownDegradesToPartialWithExactStats) {
       static_cast<double>(total);  // (N-1)/N of the rows
 
   for (int i = 0; i < 5; ++i) {
-    auto r = cluster.Query(query, 10);
+    RequestCost cost;
+    auto r = QueryWithCost(cluster, query, 10, &cost);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_DOUBLE_EQ(r.value().coverage, expected_coverage);
-    EXPECT_EQ(r.value().shards_answered, 2u);
+    EXPECT_DOUBLE_EQ(cost.coverage, expected_coverage);
+    EXPECT_EQ(cost.shards_answered, 2u);
     // Partial results never contain rows of the dark shard.
-    for (const ServedHit& hit : r.value().hits) {
+    for (const ServedHit& hit : r.value()) {
       EXPECT_TRUE(hit.id < dark_begin || hit.id >= dark_end);
     }
   }
@@ -417,7 +572,7 @@ TEST(ClusterServingTest, WholeShardDownDegradesToPartialWithExactStats) {
   // Exact outcome accounting: queries 1 and 2 walk both dead replicas
   // (one failover each) until the second failure downs them; queries 3-5
   // find no candidates at all and pay zero attempts on the dark shard.
-  const ClusterStats stats = cluster.Stats();
+  const ServiceStats stats = cluster.Stats();
   EXPECT_EQ(stats.served, 0u);
   EXPECT_EQ(stats.partial, 5u);
   EXPECT_EQ(stats.shed, 0u);
@@ -436,16 +591,18 @@ TEST(ClusterServingTest, WholeShardDownDegradesToPartialWithExactStats) {
   EXPECT_EQ(stats.coverage.count, 5u);
 }
 
-TEST(ClusterServingTest, BelowQuorumFailsUnavailableAndCountsShed) {
+// Below quorum the request fails with kUnavailable (retryable) and counts
+// as failed: it was admitted, so it is not shed (DESIGN.md §9).
+TEST(ClusterServingTest, BelowQuorumFailsUnavailableAndCountsFailed) {
   ChaosGuard guard;
   auto f = MakeFixture();
-  ClusterOptions opts;
+  ServiceOptions opts;
   opts.num_shards = 2;
   opts.num_replicas = 1;
   opts.router.quorum_coverage = 0.75;  // half the rows is not enough
-  auto built = ClusterService::Build(f.model, f.bench.database.features, opts);
+  auto built = RetrievalService::Build(f.model, f.bench.database.features, opts);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const ClusterService& cluster = built.value();
+  const RetrievalService& cluster = built.value();
   MetricsDumpOnFailure dump{&cluster};
   const Matrix query = f.bench.query.features.RowCopy(0);
 
@@ -462,20 +619,22 @@ TEST(ClusterServingTest, BelowQuorumFailsUnavailableAndCountsShed) {
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
   }
-  const ClusterStats stats = cluster.Stats();
-  EXPECT_EQ(stats.shed, 3u);
+  const ServiceStats stats = cluster.Stats();
+  EXPECT_EQ(stats.failed, 3u);
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.admitted, 3u);
   EXPECT_EQ(stats.served + stats.partial, 0u);
   EXPECT_EQ(TotalOutcomes(stats), 3u);
 }
 
 TEST(ClusterServingTest, RequestLifecycleSignalsOutrankUnavailability) {
   auto f = MakeFixture();
-  ClusterOptions opts;
+  ServiceOptions opts;
   opts.num_shards = 2;
   opts.num_replicas = 1;
-  auto built = ClusterService::Build(f.model, f.bench.database.features, opts);
+  auto built = RetrievalService::Build(f.model, f.bench.database.features, opts);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const ClusterService& cluster = built.value();
+  const RetrievalService& cluster = built.value();
   const Matrix query = f.bench.query.features.RowCopy(0);
 
   RequestOptions expired_req;
@@ -490,7 +649,7 @@ TEST(ClusterServingTest, RequestLifecycleSignalsOutrankUnavailability) {
   auto cancelled = cluster.Query(query, 3, cancelled_req);
   EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
 
-  const ClusterStats stats = cluster.Stats();
+  const ServiceStats stats = cluster.Stats();
   EXPECT_EQ(stats.expired, 1u);
   EXPECT_EQ(stats.cancelled, 1u);
   EXPECT_EQ(TotalOutcomes(stats), 2u);
@@ -498,12 +657,12 @@ TEST(ClusterServingTest, RequestLifecycleSignalsOutrankUnavailability) {
 
 // The storm: a flapping replica, a latency-spiked replica that burns its
 // sub-deadline, and finally a whole shard killed below quorum — with exact
-// served / partial / shed / failover / timeout counters across all phases.
+// served / partial / failed / failover / timeout counters across all phases.
 TEST(ClusterServingTest, ChaosStormFlapAndLatencySpikeExactCounters) {
   ChaosGuard guard;
   auto f = MakeFixture();
   ThreadPool pool(4);
-  ClusterOptions opts;
+  ServiceOptions opts;
   opts.num_shards = 2;
   opts.num_replicas = 2;
   opts.health.failures_to_suspect = 1;
@@ -511,9 +670,9 @@ TEST(ClusterServingTest, ChaosStormFlapAndLatencySpikeExactCounters) {
   opts.health.down_cooldown_seconds = 3600.0;
   opts.router.quorum_coverage = 0.6;  // one dark shard of two is below quorum
   opts.router.pool = &pool;
-  auto built = ClusterService::Build(f.model, f.bench.database.features, opts);
+  auto built = RetrievalService::Build(f.model, f.bench.database.features, opts);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const ClusterService& cluster = built.value();
+  const RetrievalService& cluster = built.value();
   MetricsDumpOnFailure dump{&cluster};
   const Matrix query = f.bench.query.features.RowCopy(0);
 
@@ -528,9 +687,10 @@ TEST(ClusterServingTest, ChaosStormFlapAndLatencySpikeExactCounters) {
     plan.replica_faults.push_back(flap);
     ArmChaos(plan);
     for (int i = 0; i < 4; ++i) {
-      auto r = cluster.Query(query, 3);
+      RequestCost cost;
+      auto r = QueryWithCost(cluster, query, 3, &cost);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
-      EXPECT_DOUBLE_EQ(r.value().coverage, 1.0);
+      EXPECT_DOUBLE_EQ(cost.coverage, 1.0);
     }
     // Query 2 hits the flap's first down-window and fails over; the
     // demotion then steers queries 3-4 to the stable replica, so the flap
@@ -553,15 +713,16 @@ TEST(ClusterServingTest, ChaosStormFlapAndLatencySpikeExactCounters) {
     ArmChaos(plan);
     RequestOptions req;
     req.deadline = Deadline::After(1.0);
-    auto r = cluster.Query(query, 3, req);
+    RequestCost cost;
+    auto r = QueryWithCost(cluster, query, 3, &cost, req);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_DOUBLE_EQ(r.value().coverage, 1.0);
+    EXPECT_DOUBLE_EQ(cost.coverage, 1.0);
     EXPECT_EQ(cluster.health().state(1, 0), ReplicaHealth::kSuspect);
     EXPECT_EQ(cluster.health().timeout_count(), 1u);
   }
 
   // Phase C — kill shard 0 entirely: coverage 0.5 < quorum 0.6, so queries
-  // shed instead of serving partial results.
+  // fail instead of serving partial results.
   {
     ReplicaFault dead;
     dead.shard = 0;
@@ -584,13 +745,13 @@ TEST(ClusterServingTest, ChaosStormFlapAndLatencySpikeExactCounters) {
 
   // Exact cross-phase bookkeeping: 4 + 1 + 2 queries, one terminal outcome
   // each; failovers = flap (1) + spike (1) + 2x shard-0 walk (2).
-  const ClusterStats stats = cluster.Stats();
+  const ServiceStats stats = cluster.Stats();
   EXPECT_EQ(stats.served, 5u);
   EXPECT_EQ(stats.partial, 0u);
-  EXPECT_EQ(stats.shed, 2u);
+  EXPECT_EQ(stats.shed, 0u);
   EXPECT_EQ(stats.expired, 0u);
   EXPECT_EQ(stats.cancelled, 0u);
-  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.failed, 2u);
   EXPECT_EQ(stats.failovers, 4u);
   EXPECT_EQ(stats.timeouts, 1u);
   EXPECT_EQ(TotalOutcomes(stats), 7u);
@@ -603,16 +764,16 @@ TEST(ClusterServingTest, ConcurrentFlapStormConservesOutcomes) {
   ChaosGuard guard;
   auto f = MakeFixture();
   ThreadPool pool(4);
-  ClusterOptions opts;
+  ServiceOptions opts;
   opts.num_shards = 3;
   opts.num_replicas = 2;
   opts.health.failures_to_suspect = 1;
   opts.health.failures_to_down = 3;
   opts.health.down_cooldown_seconds = 0.01;  // exercise the probe path too
   opts.router.pool = &pool;
-  auto built = ClusterService::Build(f.model, f.bench.database.features, opts);
+  auto built = RetrievalService::Build(f.model, f.bench.database.features, opts);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const ClusterService& cluster = built.value();
+  const RetrievalService& cluster = built.value();
   MetricsDumpOnFailure dump{&cluster};
 
   ReplicaFault flap;
@@ -652,7 +813,7 @@ TEST(ClusterServingTest, ConcurrentFlapStormConservesOutcomes) {
 
   constexpr uint64_t kTotal =
       static_cast<uint64_t>(kThreads) * kQueriesPerThread;
-  const ClusterStats stats = cluster.Stats();
+  const ServiceStats stats = cluster.Stats();
   EXPECT_EQ(ok_count.load() + err_count.load(), kTotal);
   EXPECT_EQ(TotalOutcomes(stats), kTotal);
   EXPECT_EQ(stats.served + stats.partial, ok_count.load());
@@ -661,6 +822,61 @@ TEST(ClusterServingTest, ConcurrentFlapStormConservesOutcomes) {
   EXPECT_EQ(stats.expired, 0u);    // no deadlines in this storm
   EXPECT_EQ(stats.cancelled, 0u);  // no cancellations either
   EXPECT_EQ(stats.coverage.count, stats.served + stats.partial);
+}
+
+// Health applies to a lone replica too: with the default HealthOptions,
+// three consecutive failures take a 1x1 service out of rotation — requests
+// then fail without touching the replica — until the cooldown elapses and
+// a probe brings it back.
+TEST(ClusterServingTest, LoneReplicaLeavesRotationAndProbesBack) {
+  ChaosGuard guard;
+  auto f = MakeFixture();
+  double now = 0.0;
+  ServiceOptions opts;
+  opts.health.clock = [&now] { return now; };
+  auto built = RetrievalService::Build(f.model, f.bench.database.features, opts);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const RetrievalService& service = built.value();
+  MetricsDumpOnFailure dump{&service};
+  const Matrix query = f.bench.query.features.RowCopy(0);
+
+  ReplicaFault dead;
+  dead.shard = 0;
+  dead.replica = 0;
+  dead.kill = true;
+  ChaosPlan plan;
+  plan.replica_faults.push_back(dead);
+  ArmChaos(plan);
+  for (int i = 0; i < 3; ++i) {
+    auto r = service.Query(query, 3);
+    EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+  }
+  EXPECT_EQ(service.health().state(0, 0), ReplicaHealth::kDown);
+  EXPECT_EQ(ChaosCountersSnapshot().replica_searches, 3u);
+
+  // Out of rotation: the replica is healthy again, but inside the cooldown
+  // the router does not try it.
+  ArmChaos(ChaosPlan{});
+  now = 4.9;
+  auto dark = service.Query(query, 3);
+  EXPECT_EQ(dark.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(ChaosCountersSnapshot().replica_searches, 0u);
+
+  // After the cooldown a probe serves, and a second success recovers it.
+  now = 5.0;
+  EXPECT_EQ(service.health().state(0, 0), ReplicaHealth::kProbing);
+  ASSERT_TRUE(service.Query(query, 3).ok());
+  ASSERT_TRUE(service.Query(query, 3).ok());
+  EXPECT_EQ(service.health().state(0, 0), ReplicaHealth::kHealthy);
+  EXPECT_EQ(ChaosCountersSnapshot().replica_searches, 2u);
+
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.failed, 4u);
+  EXPECT_EQ(stats.served, 2u);
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(TotalOutcomes(stats), 6u);
+  // suspect, down, probing, healthy.
+  EXPECT_EQ(stats.health_transitions, 4u);
 }
 
 TEST(ReplicaHealthTest, TransportSignalsWalkTheStateMachine) {
@@ -736,9 +952,14 @@ TEST(ReplicaHealthTest, ProbeBudgetHoldsUnderReconnectStorm) {
   std::atomic<int> max_in_flight{0};
   std::atomic<uint64_t> granted{0};
   std::atomic<uint64_t> denied{0};
+  // Every thread starts its rounds at once: without the barrier a slow or
+  // instrumented build may run the threads one after another, and the
+  // storm never contends.
+  std::latch start(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
+      start.arrive_and_wait();
       for (int i = 0; i < kRoundsPerThread; ++i) {
         if (!m.BeginAttempt(0, 0)) {
           denied.fetch_add(1, std::memory_order_relaxed);
@@ -774,14 +995,14 @@ TEST(ClusterServingTest, ExpiredBudgetFailsFastWithoutDispatchOrVerdicts) {
   // transport, where dialing alone would eat the remaining budget.)
   auto f = MakeFixture();
 
-  ClusterOptions opts;
+  ServiceOptions opts;
   opts.num_shards = 2;
   opts.num_replicas = 1;
   opts.health.failures_to_suspect = 1;  // one bogus verdict would show up
   opts.router.min_attempt_budget_seconds = 1.0;
-  auto built = ClusterService::Build(f.model, f.bench.database.features, opts);
+  auto built = RetrievalService::Build(f.model, f.bench.database.features, opts);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  ClusterService& cluster = built.value();
+  const RetrievalService& cluster = built.value();
 
   const Matrix embedded = f.model->Embed(f.bench.query.features);
   const RoutedResult r = cluster.router().Search(

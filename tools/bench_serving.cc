@@ -7,10 +7,10 @@
 // end-to-end check of the metrics wiring.
 //
 // With --shards=N (optionally --replicas=R) the same load additionally runs
-// through a ClusterService over the same model and database — scatter-gather
-// across N shards with R replicas each — and the JSON gains a "cluster_*"
-// block plus one per-shard row (items, scanned items across replicas), so
-// the sharded path's overhead is benchmarked against the single-node one.
+// through a sharded RetrievalService over the same model and database —
+// scatter-gather across N shards with R replicas each — and the JSON gains
+// a "cluster_*" block plus one per-shard row (items, scanned items), so the
+// sharded path's overhead is benchmarked against the single-node one.
 //
 //   ./tool_bench_serving --out=BENCH_serving.json [--seed=7] [--repeat=5]
 //       [--epochs=4] [--cells=32] [--nprobe=8] [--ivf=true]
@@ -238,22 +238,23 @@ int main(int argc, char** argv) {
                profiler_off_p95 * 1e3, profiler_on_p95 * 1e3,
                profiler_overhead_pct);
 
-  // Sharded scenario: the same load through a ClusterService over the same
-  // model and corpus. Appended after the single-node keys so the bench
-  // gate's first-occurrence extraction keeps reading the single-node run.
+  // Sharded scenario: the same load through a sharded RetrievalService over
+  // the same model and corpus, on its own registry. Appended after the
+  // single-node keys so the bench gate's first-occurrence extraction keeps
+  // reading the single-node run.
   if (shards > 0) {
-    serving::ClusterOptions copts;
+    serving::ServiceOptions copts;
     copts.num_shards = shards;
     copts.num_replicas = replicas;
-    copts.searcher.exact_rerank = true;
-    copts.searcher.rerank_pool = 50;
+    copts.exact_rerank = true;
+    copts.rerank_pool = 50;
     if (use_ivf) {
-      copts.searcher.use_ivf = true;
-      copts.searcher.ivf.num_cells = cells;
-      copts.searcher.ivf.nprobe = nprobe;
+      copts.use_ivf = true;
+      copts.ivf.num_cells = cells;
+      copts.ivf.nprobe = nprobe;
     }
     copts.router.pool = &GlobalThreadPool();
-    auto cluster_built = serving::ClusterService::Build(
+    auto cluster_built = serving::RetrievalService::Build(
         model, bench.database.features, copts);
     if (!cluster_built.ok()) {
       std::fprintf(stderr, "cluster build failed: %s\n",
@@ -261,7 +262,7 @@ int main(int argc, char** argv) {
       std::fclose(f);
       return 1;
     }
-    const serving::ClusterService& cluster = cluster_built.value();
+    const serving::RetrievalService& cluster = cluster_built.value();
     std::printf("cluster: %zu shards x %zu replicas, same load...\n", shards,
                 replicas);
 
@@ -280,7 +281,7 @@ int main(int argc, char** argv) {
             : 0.0;
     const auto cluster_latency =
         cluster.Metrics()
-            .GetHistogram(obs::WithLabel("cluster_latency_seconds", "outcome",
+            .GetHistogram(obs::WithLabel("serving_latency_seconds", "outcome",
                                          "served"))
             ->Snapshot();
     const auto cstats = cluster.Stats();
@@ -296,23 +297,27 @@ int main(int argc, char** argv) {
                  shards, replicas, cluster_qps,
                  cluster_latency.Quantile(0.95) * 1e3, coverage_mean,
                  static_cast<unsigned long long>(cstats.failovers));
+    // Replicas share one set of scan instruments, so the per-shard split
+    // replays the load on each shard's first replica with scan accounting:
+    // every query of a fault-free run scans each shard exactly once.
+    const Matrix embedded = model->Embed(bench.query.features);
     for (size_t s = 0; s < shards; ++s) {
-      uint64_t scan_items = 0;
-      for (size_t r = 0; r < replicas; ++r) {
-        // Flat and IVF replica scans count items under separate instruments.
-        const std::string rp =
-            "cluster_s" + std::to_string(s) + "_r" + std::to_string(r) + "_";
-        scan_items +=
-            cluster.Metrics().GetCounter(rp + "adc_scan_items_total")->Value();
-        scan_items +=
-            cluster.Metrics().GetCounter(rp + "ivf_scan_items_total")->Value();
+      ScanStats scanned;
+      ScanControl control;
+      control.stats = &scanned;
+      for (int r = 0; r < repeat; ++r) {
+        for (size_t q = 0; q < embedded.rows(); ++q) {
+          (void)cluster.shards().searcher(s, 0).Search(
+              embedded.row(q), 10, control, /*degraded=*/false, nullptr,
+              nullptr, nullptr);
+        }
       }
       std::fprintf(f, "%s{\"shard\": %zu, \"items\": %zu, \"scan_items\": %llu}",
                    s == 0 ? "" : ", ", s, cluster.shards().shard_items(s),
-                   static_cast<unsigned long long>(scan_items));
-      std::printf("  shard %zu: %zu items, %llu scanned across %zu replicas\n",
-                  s, cluster.shards().shard_items(s),
-                  static_cast<unsigned long long>(scan_items), replicas);
+                   static_cast<unsigned long long>(scanned.items));
+      std::printf("  shard %zu: %zu items, %llu scanned\n", s,
+                  cluster.shards().shard_items(s),
+                  static_cast<unsigned long long>(scanned.items));
     }
     std::fprintf(f, "]");
     std::printf(
