@@ -1,12 +1,13 @@
 // Micro-benchmarks of the search kernels behind Fig. 7: ADC lookup-table
 // scoring vs exhaustive float scoring, packed-code access, Hamming scoring,
-// and the fast-scan accumulate kernels (DESIGN.md §12) — one row per kernel
-// family available on this CPU, registered at runtime, so the scalar
-// reference and the SIMD variants land side by side in the JSON for
+// and the fast-scan accumulate and prune kernels (DESIGN.md §12) — one row
+// per kernel family available on this CPU, registered at runtime, so the
+// scalar reference and the SIMD variants land side by side in the JSON for
 // tools/bench_smoke.sh --gate to diff.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -147,6 +148,40 @@ void BM_ScanKernel(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() * n);
 }
 
+// One prune pass over n items' sums and norms: the survivor masks the
+// fast-scan Search computes after the accumulate kernel, isolated per
+// kernel family (BM_ScanPrune<family>/n). The threshold keeps 0.1% of the
+// items, about the share a top-10 scan of 100k items re-scores.
+void BM_ScanPrune(benchmark::State& state, index::kernels::PruneFn prune) {
+  Rng rng(8);
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<uint16_t> sums(n);
+  std::vector<float> norms(n);
+  for (size_t i = 0; i < n; ++i) {
+    sums[i] = static_cast<uint16_t>(rng.NextIndex(kCodebooks * 255 + 1));
+    norms[i] = 10.0f + static_cast<float>(rng.NextGaussian());
+  }
+  const float scale = 0.01f;
+  const float bias_sum = -2.0f;
+  const float bound = scale * static_cast<float>(kCodebooks) * 1.001f + 1e-6f;
+  std::vector<float> values(n);
+  for (size_t i = 0; i < n; ++i) {
+    values[i] =
+        index::kernels::ApproxScore(sums[i], norms[i], scale, bias_sum) -
+        bound;
+  }
+  std::nth_element(values.begin(), values.begin() + n / 1000, values.end());
+  const float worst = values[n / 1000];
+  std::vector<uint32_t> masks(index::kernels::NumBlocks(n));
+  for (auto _ : state) {
+    prune(sums.data(), norms.data(), n, scale, bias_sum, bound, worst,
+          masks.data());
+    benchmark::DoNotOptimize(masks.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
 // End-to-end Search through the kernel the index selected: quantized scan
 // with exact re-scores of the items that could still make the top-k — the
 // user-visible number the kernels feed.
@@ -170,10 +205,14 @@ void RegisterScanKernelBenchmarks() {
   const size_t kp = index::kernels::PadCodewords(kCodewords);
   for (const std::string& name : index::kernels::AvailableScanKernels()) {
     const auto kernel = index::kernels::ScanKernelByName(name, kp);
-    if (kernel.fn == nullptr) continue;  // family lacks this table width
-    benchmark::RegisterBenchmark(("BM_ScanKernel" + name).c_str(),
-                                 BM_ScanKernel, kernel)
-        ->Arg(1000)
+    if (kernel.fn != nullptr) {  // null: family lacks this table width
+      benchmark::RegisterBenchmark(("BM_ScanKernel" + name).c_str(),
+                                   BM_ScanKernel, kernel)
+          ->Arg(1000)
+          ->Arg(100000);
+    }
+    benchmark::RegisterBenchmark(("BM_ScanPrune" + name).c_str(),
+                                 BM_ScanPrune, kernel.prune)
         ->Arg(100000);
   }
 }

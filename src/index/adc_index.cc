@@ -1,13 +1,14 @@
 #include "src/index/adc_index.h"
 
 #include <algorithm>
+#include <bit>
+#include <chrono>
 #include <numeric>
 
 #include "src/obs/profile.h"
 #include "src/util/chaos.h"
 #include "src/util/check.h"
 #include "src/util/io.h"
-#include "src/util/timer.h"
 
 namespace lightlt::index {
 
@@ -170,6 +171,12 @@ void AdcIndex::ComputeScores(const float* query,
   }
 }
 
+namespace {
+// Most items one prune call masks: a multiple of the block size, and its
+// masks live on the stack.
+constexpr size_t kPruneItems = 1024;
+}  // namespace
+
 Result<std::vector<SearchHit>> AdcIndex::Scan(
     const float* query, size_t top_k, std::span<const SlotRange> ranges,
     const ScanControl& control, const ScanInstruments& instruments,
@@ -212,15 +219,22 @@ Result<std::vector<SearchHit>> AdcIndex::Scan(
   // Chunks of check_every_items never span ranges, and every range is at
   // least one chunk: the control is polled between chunks (an expired or
   // cancelled request overshoots by at most one chunk, DESIGN.md §9) and
-  // the chaos hook and telemetry run once per chunk — nothing per item.
+  // the chaos hook and chunk timing run once per chunk — nothing per item.
   // The kernel scores the blocks a chunk overlaps; a block split between
   // two chunks is scored twice, to the same sums.
   const size_t chunk = std::max<size_t>(1, control.check_every_items);
   std::vector<uint16_t> sums;
+  size_t piece = kernels::kBlockItems;  // items in the next prune call
   size_t ranges_done = 0;
+  size_t chunks_done = 0;
   size_t items_done = 0;
   size_t rescored = 0;
   Status status;
+  // Chunk timing chains timestamps: each chunk's end is the next chunk's
+  // start, one clock read per chunk, and none when uninstrumented.
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point chunk_start;
+  if (instruments.chunk_seconds != nullptr) chunk_start = Clock::now();
   obs::ProfilePhase scan_phase(ivf_cells ? "ivf_scan" : "adc_scan");
   for (const SlotRange& range : ranges) {
     const size_t base = range.first_block * kernels::kBlockItems;
@@ -235,8 +249,9 @@ Result<std::vector<SearchHit>> AdcIndex::Scan(
       }
       status = ChaosOnScanChunk();
       if (!status.ok()) break;
-      const size_t end = std::min<size_t>(begin + chunk, range.end);
-      ScopedTimer timer(instruments.chunk_seconds);
+      // begin + min(...) rather than min(begin + chunk, ...): a chunk of
+      // SIZE_MAX ("never poll") must not wrap.
+      const size_t end = begin + std::min<size_t>(chunk, range.end - begin);
       if (fast) {
         // Quantized scores first; only items whose approximate score could
         // still make the heap (|approx - exact| <= bound, DESIGN.md §12)
@@ -250,18 +265,44 @@ Result<std::vector<SearchHit>> AdcIndex::Scan(
                           last - first, m, qlut.k_padded, qlut.table.data(),
                           sums.data());
         }
-        const size_t sum0 = range.begin + first * kernels::kBlockItems;
-        for (size_t slot = begin; slot < end; ++slot) {
-          const float approx =
-              norms_[slot] -
-              2.0f * (static_cast<float>(sums[slot - sum0]) * qlut.scale +
-                      qlut.bias_sum);
-          if (heap.size() == top_k && approx - bound > heap.front().distance) {
-            continue;
+        // chunk_sums[i] is the sum of slot begin + i.
+        const uint16_t* chunk_sums =
+            sums.data() + (begin - range.begin) % kernels::kBlockItems;
+        const auto consider = [&](size_t slot) {
+          if (heap.size() == top_k &&
+              !kernels::SurvivesPrune(chunk_sums[slot - begin], norms_[slot],
+                                      qlut.scale, qlut.bias_sum, bound,
+                                      heap.front().distance)) {
+            return;
           }
           ++rescored;
           offer({static_cast<uint32_t>(slot),
                  ExactScore(lut.data(), slot, base + (slot - range.begin))});
+        };
+        // Item by item until the heap holds top_k; then prune calls mask
+        // the rest of the chunk, each piece against a snapshot of the
+        // heap's worst, and only the survivors meet the test against the
+        // live heap. The live worst only tightens, so a snapshot keeps
+        // every item the live test keeps: the re-scored items are exactly
+        // an item-by-item scan's. A snapshot is loosest just after the heap
+        // fills, so pieces start at one block and double up to
+        // kPruneItems.
+        size_t slot = begin;
+        for (; slot < end && heap.size() < top_k; ++slot) consider(slot);
+        while (slot < end) {
+          const size_t count = std::min(piece, end - slot);
+          uint32_t masks[kPruneItems / kernels::kBlockItems];
+          scan_kernel_.prune(chunk_sums + (slot - begin), norms_.data() + slot,
+                             count, qlut.scale, qlut.bias_sum, bound,
+                             heap.front().distance, masks);
+          for (size_t w = 0; w < kernels::NumBlocks(count); ++w) {
+            for (uint32_t bits = masks[w]; bits != 0; bits &= bits - 1) {
+              consider(slot + w * kernels::kBlockItems +
+                       static_cast<size_t>(std::countr_zero(bits)));
+            }
+          }
+          slot += count;
+          piece = std::min(2 * piece, kPruneItems);
         }
       } else {
         for (size_t slot = begin; slot < end; ++slot) {
@@ -270,14 +311,13 @@ Result<std::vector<SearchHit>> AdcIndex::Scan(
         }
         rescored += end - begin;
       }
-      if (instruments.enabled()) {
-        instruments.chunks->Increment();
-        instruments.items->Increment(end - begin);
+      if (instruments.chunk_seconds != nullptr) {
+        const Clock::time_point now = Clock::now();
+        instruments.chunk_seconds->Record(
+            std::chrono::duration<double>(now - chunk_start).count());
+        chunk_start = now;
       }
-      if (control.stats != nullptr) {
-        control.stats->chunks += 1;
-        control.stats->items += end - begin;
-      }
+      ++chunks_done;
       items_done += end - begin;
       begin = end;
     } while (begin < range.end);
@@ -297,7 +337,13 @@ Result<std::vector<SearchHit>> AdcIndex::Scan(
                                            static_cast<double>(num_items()));
     }
   }
+  if (instruments.enabled()) {
+    instruments.chunks->Increment(chunks_done);
+    instruments.items->Increment(items_done);
+  }
   if (control.stats != nullptr) {
+    control.stats->chunks += chunks_done;
+    control.stats->items += items_done;
     if (ivf_cells) control.stats->probed_cells += ranges_done;
     control.stats->shortlist += rescored;
     control.stats->codes_decoded += rescored * m;

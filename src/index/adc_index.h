@@ -40,8 +40,9 @@ struct SearchHit {
 
 /// Telemetry handles for a scan hot path (DESIGN.md §10). All-null by
 /// default: an uninstrumented index pays one branch per chunk and nothing
-/// per vector. When wired to a registry, each scan chunk costs a couple of
-/// relaxed atomic adds plus two clock reads — never any per-vector work or
+/// per vector. When wired to a registry, each scan chunk costs one clock
+/// read and one histogram record (chunk timestamps are chained), and the
+/// counters are added once per scan — never any per-vector work or
 /// locking.
 struct ScanInstruments {
   obs::Counter* chunks = nullptr;          ///< scan chunks executed
@@ -164,9 +165,11 @@ class AdcIndex {
 
   /// The scan routine behind every search: float and quantized LUTs built
   /// once, a chunked pass over `ranges` (polling `control`, running the
-  /// chaos scan hook and recording into `instruments` per chunk) keeping a
-  /// running top-k pruned by the quantized error bound, survivors scored
-  /// exactly in float. Hits carry slots, ordered by (distance, stored id).
+  /// chaos scan hook and timing into `instruments` per chunk) keeping a
+  /// running top-k pruned by the quantized error bound — SIMD survivor
+  /// masks first, then the per-item test against the live heap — and
+  /// survivors scored exactly in float. Hits carry slots, ordered by
+  /// (distance, stored id).
   /// `ivf_cells` marks the ranges as probed IVF cells (profile phase
   /// `ivf_scan`, probe accounting) rather than a flat scan (`adc_scan`).
   Result<std::vector<SearchHit>> Scan(const float* query, size_t top_k,

@@ -100,6 +100,13 @@ Result<std::vector<SearchHit>> IvfAdcIndex::SearchSlots(
     const float* query, size_t top_k, const ScanControl& control,
     size_t nprobe_override) const {
   LIGHTLT_RETURN_IF_ERROR(ChaosOnIvfSearch());
+  const std::vector<SlotRange> probes = Probes(query, nprobe_override);
+  return store_.Scan(query, top_k, probes, control, instruments_,
+                     /*ivf_cells=*/true);
+}
+
+std::vector<SlotRange> IvfAdcIndex::Probes(const float* query,
+                                           size_t nprobe_override) const {
   const size_t cells = centroids_.rows();
   const size_t d = centroids_.cols();
   const size_t nprobe = std::min(
@@ -107,29 +114,26 @@ Result<std::vector<SearchHit>> IvfAdcIndex::SearchSlots(
 
   // Rank cells by centroid distance (rank-equivalent form); the nearest
   // nprobe cells are the ranges the store scans.
-  std::vector<SlotRange> probes(nprobe);
-  {
-    obs::ProfilePhase route_phase("ivf_route");
-    std::vector<float> cell_scores(cells);
-    for (size_t c = 0; c < cells; ++c) {
-      const float* centroid = centroids_.row(c);
-      float dot = 0.0f;
-      for (size_t j = 0; j < d; ++j) dot += query[j] * centroid[j];
-      cell_scores[c] = centroid_norms_[c] - 2.0f * dot;
-    }
-    std::vector<uint32_t> cell_order(cells);
-    std::iota(cell_order.begin(), cell_order.end(), 0u);
-    std::partial_sort(cell_order.begin(), cell_order.begin() + nprobe,
-                      cell_order.end(), [&](uint32_t a, uint32_t b) {
-                        return cell_scores[a] < cell_scores[b] ||
-                               (cell_scores[a] == cell_scores[b] && a < b);
-                      });
-    for (size_t p = 0; p < nprobe; ++p) {
-      probes[p] = store_.cells_[cell_order[p]];
-    }
+  obs::ProfilePhase route_phase("ivf_route");
+  std::vector<float> cell_scores(cells);
+  for (size_t c = 0; c < cells; ++c) {
+    const float* centroid = centroids_.row(c);
+    float dot = 0.0f;
+    for (size_t j = 0; j < d; ++j) dot += query[j] * centroid[j];
+    cell_scores[c] = centroid_norms_[c] - 2.0f * dot;
   }
-  return store_.Scan(query, top_k, probes, control, instruments_,
-                     /*ivf_cells=*/true);
+  std::vector<uint32_t> cell_order(cells);
+  std::iota(cell_order.begin(), cell_order.end(), 0u);
+  std::partial_sort(cell_order.begin(), cell_order.begin() + nprobe,
+                    cell_order.end(), [&](uint32_t a, uint32_t b) {
+                      return cell_scores[a] < cell_scores[b] ||
+                             (cell_scores[a] == cell_scores[b] && a < b);
+                    });
+  std::vector<SlotRange> probes(nprobe);
+  for (size_t p = 0; p < nprobe; ++p) {
+    probes[p] = store_.cells_[cell_order[p]];
+  }
+  return probes;
 }
 
 double IvfAdcIndex::ExpectedScanFraction(size_t nprobe_override) const {

@@ -69,6 +69,11 @@ class IvfAdcIndex {
                                              const ScanControl& control,
                                              size_t nprobe_override) const;
 
+  /// The store ranges a query probes, nearest cell first: the `nprobe`
+  /// cells (or `nprobe_override` when > 0) SearchSlots scans, in its order.
+  std::vector<SlotRange> Probes(const float* query,
+                                size_t nprobe_override) const;
+
   /// Expected fraction of the database scanned per query (diagnostic; cell
   /// balance determines the real speedup over exhaustive ADC). Uses actual
   /// cell masses: for each cell, the mass of the nprobe cells nearest to its

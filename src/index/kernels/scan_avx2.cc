@@ -1,6 +1,6 @@
-// AVX2 fast-scan accumulate kernels. Compiled into every build via function
-// target attributes (no global -mavx2), selected at runtime only when the
-// CPU reports AVX2. On non-x86 targets this TU degrades to stubs.
+// AVX2 fast-scan accumulate and prune kernels. Compiled into every build via
+// function target attributes (no global -mavx2), selected at runtime only
+// when the CPU reports AVX2. On non-x86 targets this TU degrades to stubs.
 
 #include "src/index/kernels/scan_isa.h"
 
@@ -77,9 +77,54 @@ __attribute__((target("avx2"))) void Accumulate64Avx2(
   }
 }
 
+// Survivor bits of 8 items, in ApproxScore's operation order (no FMA
+// contraction in src/index, so the roundings match the scalar test): u16
+// sums widen to i32 and convert exactly to float. GT_OQ is false on NaN,
+// so NaN lanes survive, as in the scalar test.
+__attribute__((target("avx2"))) inline uint32_t Survivors8(
+    __m128i sums, __m256 norms, __m256 scale, __m256 bias_sum, __m256 bound,
+    __m256 worst) {
+  const __m256 sum = _mm256_cvtepi32_ps(_mm256_cvtepu16_epi32(sums));
+  const __m256 scaled = _mm256_add_ps(_mm256_mul_ps(sum, scale), bias_sum);
+  const __m256 approx =
+      _mm256_sub_ps(norms, _mm256_mul_ps(_mm256_set1_ps(2.0f), scaled));
+  const __m256 pruned =
+      _mm256_cmp_ps(_mm256_sub_ps(approx, bound), worst, _CMP_GT_OQ);
+  return ~static_cast<uint32_t>(_mm256_movemask_ps(pruned)) & 0xffu;
+}
+
+// Survivor masks, one 32-item block per iteration. The last, partial block
+// goes to the scalar test item by item, so no load reads past `count`.
+__attribute__((target("avx2"))) void PruneAvx2(
+    const uint16_t* sums, const float* norms, size_t count, float scale,
+    float bias_sum, float bound, float worst, uint32_t* masks) {
+  const __m256 vscale = _mm256_set1_ps(scale);
+  const __m256 vbias = _mm256_set1_ps(bias_sum);
+  const __m256 vbound = _mm256_set1_ps(bound);
+  const __m256 vworst = _mm256_set1_ps(worst);
+  const size_t full = count / kBlockItems;
+  for (size_t w = 0; w < full; ++w) {
+    uint32_t bits = 0;
+    for (size_t g = 0; g < kBlockItems; g += 8) {
+      const size_t i = w * kBlockItems + g;
+      bits |= Survivors8(
+                  _mm_loadu_si128(reinterpret_cast<const __m128i*>(sums + i)),
+                  _mm256_loadu_ps(norms + i), vscale, vbias, vbound, vworst)
+              << g;
+    }
+    masks[w] = bits;
+  }
+  if (count % kBlockItems != 0) {
+    masks[full] = ScalarSurvivorBits(sums, norms, full * kBlockItems, count,
+                                     scale, bias_sum, bound, worst);
+  }
+}
+
 }  // namespace
 
 bool Avx2Supported() { return __builtin_cpu_supports("avx2") != 0; }
+
+PruneFn Avx2Prune() { return Avx2Supported() ? &PruneAvx2 : nullptr; }
 
 AccumulateFn Avx2KernelFor(size_t k_padded) {
   if (!Avx2Supported()) return nullptr;
@@ -97,6 +142,7 @@ AccumulateFn Avx2KernelFor(size_t k_padded) {
 namespace lightlt::index::kernels::detail {
 bool Avx2Supported() { return false; }
 AccumulateFn Avx2KernelFor(size_t) { return nullptr; }
+PruneFn Avx2Prune() { return nullptr; }
 }  // namespace lightlt::index::kernels::detail
 
 #endif

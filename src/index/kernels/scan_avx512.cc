@@ -1,7 +1,7 @@
-// AVX-512 fast-scan accumulate kernels (BW + VL + VBMI). vpermb does a full
-// 64-byte table lookup per instruction, so one shuffle covers K <= 64 and
-// four cover K <= 256 — the paper's K = 256 stays on the SIMD path here.
-// Runtime-dispatched; stubs on non-x86.
+// AVX-512 fast-scan accumulate and prune kernels (BW + VL + VBMI). vpermb
+// does a full 64-byte table lookup per instruction, so one shuffle covers
+// K <= 64 and four cover K <= 256 — the paper's K = 256 stays on the SIMD
+// path here. Runtime-dispatched; stubs on non-x86.
 
 #include "src/index/kernels/scan_isa.h"
 
@@ -85,6 +85,65 @@ LIGHTLT_AVX512_TARGET void Accumulate256Avx512(
   }
 }
 
+// Survivor bits of 16 items, in ApproxScore's operation order (no FMA
+// contraction in src/index, so the roundings match the scalar test). The
+// compare is not-greater-than, unordered: exactly !(x > worst), NaN
+// included, and only `live` lanes can be set.
+LIGHTLT_AVX512_TARGET inline uint32_t Survivors16(
+    __m256i sums, __m512 norms, __m512 scale, __m512 bias_sum, __m512 bound,
+    __m512 worst, __mmask16 live) {
+  const __m512 sum = _mm512_cvtepi32_ps(_mm512_cvtepu16_epi32(sums));
+  const __m512 scaled = _mm512_add_ps(_mm512_mul_ps(sum, scale), bias_sum);
+  const __m512 approx =
+      _mm512_sub_ps(norms, _mm512_mul_ps(_mm512_set1_ps(2.0f), scaled));
+  return _mm512_mask_cmp_ps_mask(live, _mm512_sub_ps(approx, bound), worst,
+                                 _CMP_NGT_UQ);
+}
+
+// Survivor masks, one 32-item block per iteration with plain loads. The
+// last, partial block loads under lane masks: masked-off lanes are never
+// read, so the norms need no padding past `count`.
+LIGHTLT_AVX512_TARGET void PruneAvx512(const uint16_t* sums,
+                                       const float* norms, size_t count,
+                                       float scale, float bias_sum,
+                                       float bound, float worst,
+                                       uint32_t* masks) {
+  const __m512 vscale = _mm512_set1_ps(scale);
+  const __m512 vbias = _mm512_set1_ps(bias_sum);
+  const __m512 vbound = _mm512_set1_ps(bound);
+  const __m512 vworst = _mm512_set1_ps(worst);
+  const size_t full = count / kBlockItems;
+  for (size_t w = 0; w < full; ++w) {
+    const size_t i = w * kBlockItems;
+    const __m512i block = _mm512_loadu_si512(sums + i);
+    const uint32_t lo = Survivors16(
+        _mm512_castsi512_si256(block), _mm512_loadu_ps(norms + i), vscale,
+        vbias, vbound, vworst, 0xffff);
+    const uint32_t hi = Survivors16(
+        _mm512_extracti64x4_epi64(block, 1), _mm512_loadu_ps(norms + i + 16),
+        vscale, vbias, vbound, vworst, 0xffff);
+    masks[w] = lo | (hi << 16);
+  }
+  const size_t left = count - full * kBlockItems;
+  if (left == 0) return;
+  const size_t i = full * kBlockItems;
+  const __mmask32 live = _cvtu32_mask32((1u << left) - 1);
+  const __mmask16 live_lo = static_cast<__mmask16>(_cvtmask32_u32(live));
+  const __m512i block = _mm512_maskz_loadu_epi16(live, sums + i);
+  uint32_t bits = Survivors16(_mm512_castsi512_si256(block),
+                              _mm512_maskz_loadu_ps(live_lo, norms + i),
+                              vscale, vbias, vbound, vworst, live_lo);
+  if (left > 16) {
+    const __mmask16 live_hi =
+        static_cast<__mmask16>(_cvtmask32_u32(live) >> 16);
+    bits |= Survivors16(_mm512_extracti64x4_epi64(block, 1),
+                        _mm512_maskz_loadu_ps(live_hi, norms + i + 16),
+                        vscale, vbias, vbound, vworst, live_hi)
+            << 16;
+  }
+  masks[full] = bits;
+}
+
 #undef LIGHTLT_AVX512_TARGET
 
 }  // namespace
@@ -94,6 +153,8 @@ bool Avx512Supported() {
          __builtin_cpu_supports("avx512vl") != 0 &&
          __builtin_cpu_supports("avx512vbmi") != 0;
 }
+
+PruneFn Avx512Prune() { return Avx512Supported() ? &PruneAvx512 : nullptr; }
 
 AccumulateFn Avx512KernelFor(size_t k_padded) {
   if (!Avx512Supported()) return nullptr;
@@ -110,6 +171,7 @@ AccumulateFn Avx512KernelFor(size_t k_padded) {
 namespace lightlt::index::kernels::detail {
 bool Avx512Supported() { return false; }
 AccumulateFn Avx512KernelFor(size_t) { return nullptr; }
+PruneFn Avx512Prune() { return nullptr; }
 }  // namespace lightlt::index::kernels::detail
 
 #endif

@@ -84,23 +84,38 @@ void AccumulateScalar(const uint8_t* blocked, size_t num_blocks, size_t m,
   }
 }
 
+void PruneScalar(const uint16_t* sums, const float* norms, size_t count,
+                 float scale, float bias_sum, float bound, float worst,
+                 uint32_t* masks) {
+  for (size_t w = 0; w < NumBlocks(count); ++w) {
+    masks[w] = detail::ScalarSurvivorBits(
+        sums, norms, w * kBlockItems, std::min(count, (w + 1) * kBlockItems),
+        scale, bias_sum, bound, worst);
+  }
+}
+
 struct Family {
   const char* name;
   bool (*supported)();
   AccumulateFn (*kernel_for)(size_t k_padded);
+  PruneFn (*prune)();
 };
 
 bool ScalarSupported() { return true; }
 AccumulateFn ScalarKernelFor(size_t k_padded) {
   return k_padded == 0 ? nullptr : &AccumulateScalar;
 }
+PruneFn ScalarPrune() { return &PruneScalar; }
 
 // Preference order for "auto": widest vectors first, scalar last.
 constexpr Family kFamilies[] = {
-    {"avx512", &detail::Avx512Supported, &detail::Avx512KernelFor},
-    {"avx2", &detail::Avx2Supported, &detail::Avx2KernelFor},
-    {"neon", &detail::NeonSupported, &detail::NeonKernelFor},
-    {"scalar", &ScalarSupported, &ScalarKernelFor},
+    {"avx512", &detail::Avx512Supported, &detail::Avx512KernelFor,
+     &detail::Avx512Prune},
+    {"avx2", &detail::Avx2Supported, &detail::Avx2KernelFor,
+     &detail::Avx2Prune},
+    {"neon", &detail::NeonSupported, &detail::NeonKernelFor,
+     &detail::NeonPrune},
+    {"scalar", &ScalarSupported, &ScalarKernelFor, &ScalarPrune},
 };
 
 }  // namespace
@@ -115,7 +130,7 @@ bool ScanKernelSupported(const std::string& name) {
 ScanKernel ScanKernelByName(const std::string& name, size_t k_padded) {
   for (const Family& f : kFamilies) {
     if (name == f.name && f.supported()) {
-      return {f.kernel_for(k_padded), f.name};
+      return {f.kernel_for(k_padded), f.prune(), f.name};
     }
   }
   return {};
@@ -125,7 +140,7 @@ ScanKernel SelectScanKernel(size_t k_padded) {
   for (const Family& f : kFamilies) {
     if (!f.supported()) continue;
     AccumulateFn fn = f.kernel_for(k_padded);
-    if (fn != nullptr) return {fn, f.name};
+    if (fn != nullptr) return {fn, f.prune(), f.name};
   }
   return {};
 }

@@ -81,11 +81,40 @@ using AccumulateFn = void (*)(const uint8_t* blocked, size_t num_blocks,
                               size_t m, size_t k_padded,
                               const uint8_t* table, uint16_t* sums);
 
-/// A selected kernel: the function plus the name it was selected under
-/// ("scalar", "avx2", "avx512", "neon"). fn == nullptr means the fast-scan
-/// path is disabled (K > 256, or an index with M > 256).
+/// The quantized score of an item with integer sum `sum` and reconstruction
+/// norm `norm`, evaluated in exactly this order in float. Every PruneFn and
+/// the scan's per-item check compute it the same way; src/index is built
+/// without FMA contraction so the scalar and SIMD roundings agree.
+inline float ApproxScore(uint16_t sum, float norm, float scale,
+                         float bias_sum) {
+  return norm - 2.0f * (static_cast<float>(sum) * scale + bias_sum);
+}
+
+/// The pruning test: false exactly when an item's quantized score, widened
+/// by the error bound, is still worse than `worst` (the worst distance of a
+/// full top-k heap), so the item cannot enter it. NaN compares survive.
+inline bool SurvivesPrune(uint16_t sum, float norm, float scale,
+                          float bias_sum, float bound, float worst) {
+  return !(ApproxScore(sum, norm, scale, bias_sum) - bound > worst);
+}
+
+/// Turns `count` consecutive u16 sums and the matching norms into survivor
+/// masks: bit i%32 of masks[i/32] is set exactly when
+/// SurvivesPrune(sums[i], norms[i], scale, bias_sum, bound, worst). Writes
+/// NumBlocks(count) words; bits past `count` are clear, and no input is
+/// read past index count-1. All implementations produce bit-identical
+/// masks.
+using PruneFn = void (*)(const uint16_t* sums, const float* norms,
+                         size_t count, float scale, float bias_sum,
+                         float bound, float worst, uint32_t* masks);
+
+/// A selected kernel family: the accumulate function, the prune function
+/// of the same family, and the name they were selected under ("scalar",
+/// "avx2", "avx512", "neon"). fn == nullptr means the fast-scan path is
+/// disabled (K > 256, or an index with M > 256).
 struct ScanKernel {
   AccumulateFn fn = nullptr;
+  PruneFn prune = nullptr;
   const char* name = "off";
 };
 
@@ -94,7 +123,8 @@ bool ScanKernelSupported(const std::string& name);
 
 /// The kernel for `name` at a given padded width, or fn == nullptr when the
 /// family is unsupported on this CPU or has no implementation at k_padded.
-/// "scalar" always resolves for k_padded in {16, 64, 256}.
+/// "scalar" always resolves for k_padded in {16, 64, 256}. `prune` is set
+/// whenever the family is supported (it does not depend on the width).
 ScanKernel ScanKernelByName(const std::string& name, size_t k_padded);
 
 /// Startup selection: the fastest kernel this CPU supports at k_padded

@@ -1,6 +1,6 @@
-// NEON fast-scan accumulate kernels for aarch64. vqtbl1q/vqtbl4q give
-// 16- and 64-byte table lookups over 16 codes per instruction; two passes
-// cover a 32-item block. Stubs on non-ARM targets.
+// NEON fast-scan accumulate and prune kernels for aarch64. vqtbl1q/vqtbl4q
+// give 16- and 64-byte table lookups over 16 codes per instruction; two
+// passes cover a 32-item block. Stubs on non-ARM targets.
 
 #include "src/index/kernels/scan_isa.h"
 
@@ -60,9 +60,48 @@ void Accumulate64Neon(const uint8_t* blocked, size_t num_blocks, size_t m,
   }
 }
 
+// Survivor masks, one 32-item block per iteration, 4 items per compare, in
+// ApproxScore's operation order (no FMA contraction in src/index: aarch64
+// would otherwise fuse the multiply-adds, here and in the scalar test).
+// NEON has no movemask; each lane keeps its own bit and a horizontal add
+// packs them. The last, partial block goes to the scalar test item by
+// item, so no load reads past `count`.
+void PruneNeon(const uint16_t* sums, const float* norms, size_t count,
+               float scale, float bias_sum, float bound, float worst,
+               uint32_t* masks) {
+  const float32x4_t vscale = vdupq_n_f32(scale);
+  const float32x4_t vbias = vdupq_n_f32(bias_sum);
+  const float32x4_t vtwo = vdupq_n_f32(2.0f);
+  const float32x4_t vbound = vdupq_n_f32(bound);
+  const float32x4_t vworst = vdupq_n_f32(worst);
+  static constexpr uint32_t kLaneBits[4] = {1, 2, 4, 8};
+  const uint32x4_t lane_bits = vld1q_u32(kLaneBits);
+  const size_t full = count / kBlockItems;
+  for (size_t w = 0; w < full; ++w) {
+    uint32_t bits = 0;
+    for (size_t g = 0; g < kBlockItems; g += 4) {
+      const size_t i = w * kBlockItems + g;
+      const float32x4_t sum = vcvtq_f32_u32(vmovl_u16(vld1_u16(sums + i)));
+      const float32x4_t approx = vsubq_f32(
+          vld1q_f32(norms + i),
+          vmulq_f32(vtwo, vaddq_f32(vmulq_f32(sum, vscale), vbias)));
+      const uint32x4_t pruned =
+          vcgtq_f32(vsubq_f32(approx, vbound), vworst);
+      bits |= vaddvq_u32(vbicq_u32(lane_bits, pruned)) << g;
+    }
+    masks[w] = bits;
+  }
+  if (count % kBlockItems != 0) {
+    masks[full] = ScalarSurvivorBits(sums, norms, full * kBlockItems, count,
+                                     scale, bias_sum, bound, worst);
+  }
+}
+
 }  // namespace
 
 bool NeonSupported() { return true; }
+
+PruneFn NeonPrune() { return &PruneNeon; }
 
 AccumulateFn NeonKernelFor(size_t k_padded) {
   if (k_padded == 16) return &Accumulate16Neon;
@@ -77,6 +116,7 @@ AccumulateFn NeonKernelFor(size_t k_padded) {
 namespace lightlt::index::kernels::detail {
 bool NeonSupported() { return false; }
 AccumulateFn NeonKernelFor(size_t) { return nullptr; }
+PruneFn NeonPrune() { return nullptr; }
 }  // namespace lightlt::index::kernels::detail
 
 #endif

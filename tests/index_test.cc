@@ -1,15 +1,26 @@
-// Tests for the retrieval indexes: packed codes, ADC exactness, flat
-// exhaustive search, Hamming search, and serialization.
+// Tests for the retrieval indexes: packed codes, ADC exactness, the pruned
+// fast-scan against a per-item reference scan, flat exhaustive search,
+// Hamming search, and serialization.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "src/index/adc_index.h"
 #include "src/index/codes.h"
 #include "src/index/flat_index.h"
 #include "src/index/hamming_index.h"
+#include "src/index/ivf_index.h"
+#include "src/index/kernels/scan_kernels.h"
+#include "src/util/deadline.h"
 #include "src/util/rng.h"
 
 namespace lightlt::index {
@@ -164,6 +175,317 @@ TEST_F(AdcIndexTest, TiedDistancesBreakByAscendingId) {
     if (hits[i - 1].distance == hits[i].distance) {
       EXPECT_EQ(hits[i].id, hits[i - 1].id + 1);
     }
+  }
+}
+
+// ||o||^2 of an item, in AdcIndex::Build's order: codewords summed in
+// float, the squares in double.
+float ReconstructionNorm(const std::vector<Matrix>& codebooks,
+                         const std::vector<uint32_t>& codes) {
+  std::vector<float> recon(codebooks[0].cols(), 0.0f);
+  for (size_t cb = 0; cb < codebooks.size(); ++cb) {
+    const float* word = codebooks[cb].row(codes[cb]);
+    for (size_t j = 0; j < recon.size(); ++j) recon[j] += word[j];
+  }
+  double norm = 0.0;
+  for (const float v : recon) norm += static_cast<double>(v) * v;
+  return static_cast<float>(norm);
+}
+
+// lut[cb*K + j] = <q, C_cb[j]>, in AdcIndex's order.
+std::vector<float> ReferenceLut(const std::vector<Matrix>& codebooks,
+                                const float* query) {
+  const size_t k = codebooks[0].rows();
+  const size_t d = codebooks[0].cols();
+  std::vector<float> lut(codebooks.size() * k);
+  for (size_t cb = 0; cb < codebooks.size(); ++cb) {
+    for (size_t j = 0; j < k; ++j) {
+      float acc = 0.0f;
+      for (size_t t = 0; t < d; ++t) acc += query[t] * codebooks[cb].row(j)[t];
+      lut[cb * k + j] = acc;
+    }
+  }
+  return lut;
+}
+
+struct PerItemScan {
+  std::vector<SearchHit> hits;  // ids are slots
+  ScanStats stats;
+};
+
+// The scan the masked fast path must reproduce, rebuilt from public pieces:
+// the float LUT and norms in AdcIndex's order, QuantizeLut, the scalar
+// accumulate kernel, then one prune test per item against the live heap,
+// in chunks of check_every items that never span a range. `slot_ids` maps
+// slots to stored ids (the heap's tie order); `codes` is by stored id.
+PerItemScan PerItemReference(const std::vector<Matrix>& codebooks,
+                             const std::vector<std::vector<uint32_t>>& codes,
+                             const std::vector<uint32_t>& slot_ids,
+                             const std::vector<SlotRange>& ranges,
+                             const float* query, size_t top_k,
+                             size_t check_every) {
+  namespace kn = kernels;
+  const size_t m = codebooks.size();
+  const size_t k = codebooks[0].rows();
+  const std::vector<float> lut = ReferenceLut(codebooks, query);
+  const kn::QuantizedLut qlut = kn::QuantizeLut(lut.data(), m, k);
+  const float bound = qlut.ScoreErrorBound();
+  const kn::AccumulateFn accumulate =
+      kn::ScanKernelByName("scalar", qlut.k_padded).fn;
+
+  const auto better = [&](const SearchHit& a, const SearchHit& b) {
+    return a.distance < b.distance ||
+           (a.distance == b.distance && slot_ids[a.id] < slot_ids[b.id]);
+  };
+  std::vector<SearchHit> heap;
+  PerItemScan out;
+  out.stats.lut_builds = 2;
+  const size_t chunk = std::max<size_t>(1, check_every);
+  for (const SlotRange& range : ranges) {
+    const size_t len = range.end - range.begin;
+    std::vector<uint8_t> item_major(len * m);
+    for (size_t i = 0; i < len; ++i) {
+      for (size_t cb = 0; cb < m; ++cb) {
+        item_major[i * m + cb] =
+            static_cast<uint8_t>(codes[slot_ids[range.begin + i]][cb]);
+      }
+    }
+    std::vector<uint8_t> blocked;
+    kn::BuildBlockedCodes(item_major.data(), len, m, &blocked);
+    std::vector<uint16_t> sums(kn::NumBlocks(len) * kn::kBlockItems);
+    if (len > 0) {
+      accumulate(blocked.data(), kn::NumBlocks(len), m, qlut.k_padded,
+                 qlut.table.data(), sums.data());
+    }
+    size_t begin = 0;
+    do {
+      const size_t end = begin + std::min(chunk, len - begin);
+      for (size_t i = begin; i < end; ++i) {
+        const uint32_t slot = static_cast<uint32_t>(range.begin + i);
+        const std::vector<uint32_t>& item = codes[slot_ids[slot]];
+        const float norm = ReconstructionNorm(codebooks, item);
+        const float approx =
+            norm - 2.0f * (static_cast<float>(sums[i]) * qlut.scale +
+                           qlut.bias_sum);
+        if (heap.size() == top_k && approx - bound > heap.front().distance) {
+          continue;
+        }
+        ++out.stats.shortlist;
+        float dot = 0.0f;
+        for (size_t cb = 0; cb < m; ++cb) dot += lut[cb * k + item[cb]];
+        const SearchHit hit{slot, norm - 2.0f * dot};
+        if (heap.size() < top_k) {
+          heap.push_back(hit);
+          std::push_heap(heap.begin(), heap.end(), better);
+        } else if (better(hit, heap.front())) {
+          std::pop_heap(heap.begin(), heap.end(), better);
+          heap.back() = hit;
+          std::push_heap(heap.begin(), heap.end(), better);
+        }
+      }
+      ++out.stats.chunks;
+      out.stats.items += end - begin;
+      begin = end;
+    } while (begin < len);
+  }
+  out.stats.codes_decoded = out.stats.shortlist * m;
+  std::sort_heap(heap.begin(), heap.end(), better);
+  out.hits = std::move(heap);
+  return out;
+}
+
+void ExpectSameScan(const std::vector<SearchHit>& got,
+                    const ScanStats& got_stats, const PerItemScan& want) {
+  ASSERT_EQ(got.size(), want.hits.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want.hits[i].id) << "rank " << i;
+    EXPECT_EQ(std::bit_cast<uint32_t>(got[i].distance),
+              std::bit_cast<uint32_t>(want.hits[i].distance))
+        << "rank " << i;
+  }
+  EXPECT_EQ(got_stats.items, want.stats.items);
+  EXPECT_EQ(got_stats.chunks, want.stats.chunks);
+  EXPECT_EQ(got_stats.shortlist, want.stats.shortlist);
+  EXPECT_EQ(got_stats.codes_decoded, want.stats.codes_decoded);
+  EXPECT_EQ(got_stats.lut_builds, want.stats.lut_builds);
+  EXPECT_EQ(got_stats.probed_cells, want.stats.probed_cells);
+}
+
+// An index with an item planted exactly on the pruning boundary: slot 1's
+// quantized score minus the error bound equals slot 0's exact distance bit
+// for bit, so at top_k 1 (slot 0 alone in the heap) slot 1 must be
+// re-scored — the prune test is `>`, not `>=`. With M = 1 and a query whose
+// last two coordinates are 0, the LUT ignores the codewords' last two
+// coordinates, which then tune the planted codeword's norm onto the
+// boundary.
+struct PlantedBoundary {
+  std::vector<Matrix> codebooks;
+  std::vector<std::vector<uint32_t>> codes;
+  Matrix query;
+};
+
+void PlantBoundaryItem(Rng& rng, PlantedBoundary* out) {
+  const size_t k = 16, d = 4, n = 40;
+  out->codebooks = {Matrix::RandomGaussian(k, d, rng)};
+  Matrix& book = out->codebooks[0];
+  book.row(0)[2] = 3.0f;
+  out->query = Matrix(1, d);
+  out->query[0] = static_cast<float>(rng.NextGaussian());
+  out->query[1] = static_cast<float>(rng.NextGaussian());
+
+  const std::vector<float> lut = ReferenceLut(out->codebooks,
+                                              out->query.data());
+  const kernels::QuantizedLut qlut = kernels::QuantizeLut(lut.data(), 1, k);
+  const float bound = qlut.ScoreErrorBound();
+  const float worst = ReconstructionNorm(out->codebooks, {0}) - 2.0f * lut[0];
+  // The norm the planted codeword needs: a float within a few steps of the
+  // algebraic solution, if the roundings allow one for that codeword.
+  uint32_t planted = 0;
+  float target = 0.0f;
+  for (uint32_t j = 1; j < k && planted == 0; ++j) {
+    const float sum_part =
+        2.0f * (static_cast<float>(qlut.table[j]) * qlut.scale +
+                qlut.bias_sum);
+    float norm = worst + bound + sum_part;
+    for (int step = 0; step < 8; ++step) norm = std::nextafter(norm, -1e30f);
+    for (int step = 0; step < 16 && planted == 0; ++step) {
+      if ((norm - sum_part) - bound == worst) {
+        planted = j;
+        target = norm;
+      }
+      norm = std::nextafter(norm, 1e30f);
+    }
+  }
+  ASSERT_NE(planted, 0u) << "no codeword's norm can land on the boundary";
+  // Coordinate 2 takes most of the missing norm and the small coordinate 3
+  // fine-tunes it: one float step of a 0.1 coordinate moves the norm by far
+  // less than one float step of the norm.
+  float* word = book.row(planted);
+  const double rest = static_cast<double>(word[0]) * word[0] +
+                      static_cast<double>(word[1]) * word[1];
+  ASSERT_GT(static_cast<double>(target), rest + 0.02);
+  word[2] = static_cast<float>(
+      std::sqrt(static_cast<double>(target) - rest - 0.01));
+  word[3] = static_cast<float>(std::sqrt(
+      static_cast<double>(target) - rest -
+      static_cast<double>(word[2]) * word[2]));
+  for (int step = 0; ReconstructionNorm(out->codebooks, {planted}) != target;
+       ++step) {
+    ASSERT_LT(step, 4096) << "no codeword coordinate gives the boundary norm";
+    word[3] = std::nextafter(
+        word[3],
+        ReconstructionNorm(out->codebooks, {planted}) < target ? 1e30f
+                                                               : -1e30f);
+  }
+  out->codes = {{0}, {planted}};
+  while (out->codes.size() < n) {
+    out->codes.push_back({static_cast<uint32_t>(rng.NextIndex(k))});
+  }
+}
+
+// The masked fast path (prune kernel against a snapshot of the heap's worst,
+// then the per-item test against the live heap) re-scores exactly the items
+// a per-item scan re-scores: same hits, bit for bit, and the same work
+// counters, on flat and IVF stores, at every table width, heap size and
+// chunking — including chunks of one item and a single unpolled chunk —
+// and on an item planted exactly on the pruning boundary.
+TEST_F(AdcIndexTest, PrunedScanMatchesPerItemReference) {
+  Rng rng(23);
+  const size_t n = 1500, m = 4, d = 8;
+  const std::vector<size_t> top_ks = {1, 10, 50, n + 5};
+  const std::vector<size_t> check_everys = {1, 31, 1024, SIZE_MAX};
+  for (const size_t k : {16u, 64u, 256u}) {
+    std::vector<Matrix> codebooks;
+    for (size_t cb = 0; cb < m; ++cb) {
+      codebooks.push_back(Matrix::RandomGaussian(k, d, rng));
+    }
+    std::vector<std::vector<uint32_t>> codes(n, std::vector<uint32_t>(m));
+    for (auto& item : codes) {
+      for (auto& c : item) c = static_cast<uint32_t>(rng.NextIndex(k));
+    }
+    auto flat = AdcIndex::Build(codebooks, codes);
+    ASSERT_TRUE(flat.ok());
+    ASSERT_STRNE(flat.value().scan_kernel_name(), "off");
+    IvfOptions opts;
+    opts.num_cells = 8;
+    opts.nprobe = 3;
+    auto ivf = IvfAdcIndex::Build(Matrix::RandomGaussian(n, d, rng), codebooks,
+                                  codes, opts);
+    ASSERT_TRUE(ivf.ok());
+
+    std::vector<uint32_t> flat_ids(n);
+    std::iota(flat_ids.begin(), flat_ids.end(), 0u);
+    // The store's slot -> stored id map, read back through ToStoredIds.
+    std::vector<SearchHit> slot_map(n);
+    for (size_t s = 0; s < n; ++s) slot_map[s] = {static_cast<uint32_t>(s), 0};
+    ivf.value().store().ToStoredIds(&slot_map);
+    std::vector<uint32_t> ivf_ids(n);
+    for (size_t s = 0; s < n; ++s) ivf_ids[s] = slot_map[s].id;
+
+    for (int q = 0; q < 2; ++q) {
+      const Matrix query = Matrix::RandomGaussian(1, d, rng);
+      for (const size_t top_k : top_ks) {
+        for (const size_t check_every : check_everys) {
+          SCOPED_TRACE(::testing::Message()
+                       << "k=" << k << " top_k=" << top_k
+                       << " check_every=" << check_every);
+          ScanControl control;
+          control.check_every_items = check_every;
+          {
+            SCOPED_TRACE("flat");
+            ScanStats stats;
+            control.stats = &stats;
+            auto got = flat.value().SearchSlots(query.data(), top_k, control);
+            ASSERT_TRUE(got.ok());
+            ExpectSameScan(
+                got.value(), stats,
+                PerItemReference(codebooks, codes, flat_ids,
+                                 {SlotRange{0, static_cast<uint32_t>(n), 0}},
+                                 query.data(), top_k, check_every));
+          }
+          for (const size_t nprobe : {opts.nprobe, ivf.value().num_cells()}) {
+            SCOPED_TRACE(::testing::Message() << "ivf nprobe=" << nprobe);
+            ScanStats stats;
+            control.stats = &stats;
+            auto got = ivf.value().SearchSlots(query.data(), top_k, control,
+                                               nprobe);
+            ASSERT_TRUE(got.ok());
+            const std::vector<SlotRange> probes =
+                ivf.value().Probes(query.data(), nprobe);
+            PerItemScan want =
+                PerItemReference(codebooks, codes, ivf_ids, probes,
+                                 query.data(), top_k, check_every);
+            want.stats.probed_cells = probes.size();
+            ExpectSameScan(got.value(), stats, want);
+          }
+        }
+      }
+    }
+  }
+
+  PlantedBoundary planted;
+  ASSERT_NO_FATAL_FAILURE(PlantBoundaryItem(rng, &planted));
+  auto built = AdcIndex::Build(planted.codebooks, planted.codes);
+  ASSERT_TRUE(built.ok());
+  ASSERT_STRNE(built.value().scan_kernel_name(), "off");
+  const size_t planted_n = planted.codes.size();
+  std::vector<uint32_t> ids(planted_n);
+  std::iota(ids.begin(), ids.end(), 0u);
+  for (const size_t check_every : check_everys) {
+    SCOPED_TRACE(::testing::Message()
+                 << "planted boundary, check_every=" << check_every);
+    ScanControl control;
+    control.check_every_items = check_every;
+    ScanStats stats;
+    control.stats = &stats;
+    auto got = built.value().SearchSlots(planted.query.data(), 1, control);
+    ASSERT_TRUE(got.ok());
+    const PerItemScan want = PerItemReference(
+        planted.codebooks, planted.codes, ids,
+        {SlotRange{0, static_cast<uint32_t>(planted_n), 0}},
+        planted.query.data(), 1, check_every);
+    ASSERT_GE(want.stats.shortlist, 2u) << "the planted item is re-scored";
+    ExpectSameScan(got.value(), stats, want);
   }
 }
 

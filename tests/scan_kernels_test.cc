@@ -1,6 +1,7 @@
 // Property tests for the fast-scan kernels (DESIGN.md §12): the blocked
-// layout round-trips, every SIMD kernel produces bit-identical u16 sums to
-// the scalar reference across random shapes and odd tails, the quantized
+// layout round-trips, every SIMD kernel produces bit-identical u16 sums and
+// survivor masks to the scalar reference across random shapes, odd tails
+// and lanes on the pruning boundary, the quantized
 // LUT honours its error bound, and the kernel-backed Search returns exactly
 // the same top-k as the exact scalar scan — including the K > 256 fallback.
 //
@@ -11,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -134,6 +137,94 @@ TEST(ScanKernelsTest, SimdKernelsMatchScalarBitExactly) {
                 << name << " k=" << k << " n=" << n << " m=" << m
                 << " lane=" << i;
           }
+        }
+      }
+    }
+  }
+}
+
+// approx - bound for one item, one rounding per operation in ApproxScore's
+// order. The volatile temporaries keep this file's compiler from fusing
+// them; the kernels themselves build with -ffp-contract=off.
+float PruneValue(uint16_t sum, float norm, float scale, float bias_sum,
+                 float bound) {
+  volatile float t = static_cast<float>(sum) * scale;
+  t = t + bias_sum;
+  t = 2.0f * t;
+  t = norm - t;
+  return t - bound;
+}
+
+bool MaskBit(const std::vector<uint32_t>& masks, size_t i) {
+  return ((masks[i / kn::kBlockItems] >> (i % kn::kBlockItems)) & 1u) != 0;
+}
+
+// Every family's survivor masks equal the scalar prune's, bit for bit, on
+// random sums and norms and on lanes planted exactly at the pruning
+// boundary. The sums and norms live in exact-size heap buffers, so ASan's
+// redzone right past the last item is the sentinel a tail over-read trips;
+// a sentinel word past the masks catches an over-write.
+TEST(ScanKernelsTest, SimdPruneMatchesScalarBitExactly) {
+  Rng rng(17);
+  const kn::PruneFn scalar = kn::ScanKernelByName("scalar", 16).prune;
+  ASSERT_NE(scalar, nullptr);
+  constexpr uint32_t kSentinel = 0xDEADBEEFu;
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const size_t count : {1u, 17u, 31u, 32u, 33u, 1000u}) {
+    const size_t m = 4;
+    const float scale = 0.002f + 0.01f * rng.NextFloat();
+    const float bias_sum = static_cast<float>(rng.NextGaussian());
+    const float bound = scale * static_cast<float>(m) * 1.001f + 1e-6f;
+    std::vector<uint16_t> sums(count);
+    std::vector<float> norms(count);
+    std::vector<float> values(count);
+    for (size_t i = 0; i < count; ++i) {
+      sums[i] = static_cast<uint16_t>(rng.NextIndex(m * 255 + 1));
+      norms[i] = 8.0f + 2.0f * static_cast<float>(rng.NextGaussian());
+    }
+    // Every third lane copies lane 0, so its prune value is lane 0's bit
+    // for bit: `edge` below is exactly where those lanes flip.
+    for (size_t i = 3; i < count; i += 3) {
+      sums[i] = sums[0];
+      norms[i] = norms[0];
+    }
+    if (count > 1) norms[1] = std::numeric_limits<float>::quiet_NaN();
+    for (size_t i = 0; i < count; ++i) {
+      values[i] = PruneValue(sums[i], norms[i], scale, bias_sum, bound);
+    }
+    const float edge = values[0];
+    std::vector<float> sorted;
+    for (const float v : values) {
+      if (!std::isnan(v)) sorted.push_back(v);
+    }
+    std::sort(sorted.begin(), sorted.end());
+    const float median = sorted[sorted.size() / 2];
+
+    for (const float worst : {edge, std::nextafter(edge, -inf),
+                              std::nextafter(edge, inf), median, inf, -inf}) {
+      const size_t words = kn::NumBlocks(count);
+      std::vector<uint32_t> want(words + 1, kSentinel);
+      scalar(sums.data(), norms.data(), count, scale, bias_sum, bound, worst,
+             want.data());
+      ASSERT_EQ(want[words], kSentinel) << "scalar wrote past its masks";
+      for (size_t i = 0; i < count; ++i) {
+        // The definition, NaN lanes included: kept unless value > worst.
+        ASSERT_EQ(MaskBit(want, i), !(values[i] > worst))
+            << "count=" << count << " i=" << i << " worst=" << worst;
+      }
+      if (count % kn::kBlockItems != 0) {
+        EXPECT_EQ(want[words - 1] >> (count % kn::kBlockItems), 0u)
+            << "bits past count must be clear";
+      }
+      for (const std::string& name : kn::AvailableScanKernels()) {
+        const kn::PruneFn prune = kn::ScanKernelByName(name, 16).prune;
+        ASSERT_NE(prune, nullptr) << name;
+        std::vector<uint32_t> got(words + 1, kSentinel);
+        prune(sums.data(), norms.data(), count, scale, bias_sum, bound, worst,
+              got.data());
+        for (size_t w = 0; w <= words; ++w) {
+          ASSERT_EQ(got[w], want[w]) << name << " count=" << count
+                                     << " word=" << w << " worst=" << worst;
         }
       }
     }
