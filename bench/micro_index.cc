@@ -185,6 +185,19 @@ void BM_ScanPrune(benchmark::State& state, index::kernels::PruneFn prune) {
 // End-to-end Search through the kernel the index selected: quantized scan
 // with exact re-scores of the items that could still make the top-k — the
 // user-visible number the kernels feed.
+// One query's float lookup tables: a 1 x 64 row against M = 4 codebooks
+// of 64 x 64 (256 dense-product dots).
+void BM_LutBuild(benchmark::State& state) {
+  Rng rng(9);
+  auto idx = MakeAdc(1000, rng);
+  Matrix query = Matrix::RandomGaussian(1, kDim, rng);
+  for (auto _ : state) {
+    std::vector<float> lut = idx.BuildLookupTables(query.data());
+    benchmark::DoNotOptimize(lut.data());
+  }
+}
+BENCHMARK(BM_LutBuild);
+
 void BM_AdcSearch(benchmark::State& state) {
   Rng rng(7);
   const size_t n = static_cast<size_t>(state.range(0));

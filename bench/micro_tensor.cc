@@ -1,11 +1,13 @@
-// Micro-benchmarks of the numeric kernels the training loop spends its time
-// in: matrix products, the fused codeword-similarity kernel, softmax, and a
-// full DSQ forward/backward step.
+// Micro-benchmarks of the numeric kernels the training loop and the
+// database embed/encode spend their time in: matrix products, the
+// fused codeword-similarity kernel, softmax, a full DSQ forward/backward
+// step, a 4096-row embed chunk and DSQ encoding.
 
 #include <benchmark/benchmark.h>
 
 #include "src/clustering/kmeans.h"
 #include "src/core/dsq.h"
+#include "src/core/lightlt_model.h"
 #include "src/tensor/ops.h"
 #include "src/util/rng.h"
 
@@ -24,6 +26,42 @@ void BM_MatMul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_MatMul)->Arg(64)->Arg(128)->Arg(256);
+
+// SquaredEuclideanTo's dot pass at DSQ encode's shape: a 4096-row chunk of
+// 64-d residuals against one 64-word codebook.
+void BM_MatMulTransposed(benchmark::State& state) {
+  Rng rng(7);
+  const size_t m = 4096, n = 64, k = 64;
+  Matrix a = Matrix::RandomGaussian(m, k, rng);
+  Matrix b = Matrix::RandomGaussian(n, k, rng);
+  for (auto _ : state) {
+    Matrix c = a.MatMulTransposed(b);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * m * n * k);
+}
+BENCHMARK(BM_MatMulTransposed)->Name("BM_MatMulTransposed/4096x64x64");
+
+// One EmbedInChunks chunk at the serving model's shape: 4096 rows through
+// the 64 -> 128 -> 64 backbone.
+void BM_EmbedChunk(benchmark::State& state) {
+  core::ModelConfig cfg;
+  cfg.input_dim = 64;
+  cfg.hidden_dims = {128};
+  cfg.embed_dim = 64;
+  cfg.num_classes = 25;
+  cfg.dsq.num_codebooks = 4;
+  cfg.dsq.num_codewords = 64;
+  core::LightLtModel model(cfg, 8);
+  Rng rng(8);
+  Matrix x = Matrix::RandomGaussian(4096, cfg.input_dim, rng);
+  for (auto _ : state) {
+    Matrix e = model.Embed(x);
+    benchmark::DoNotOptimize(e.data());
+  }
+  state.SetItemsProcessed(state.iterations() * x.rows());
+}
+BENCHMARK(BM_EmbedChunk);
 
 void BM_SquaredEuclidean(benchmark::State& state) {
   Rng rng(2);

@@ -53,8 +53,16 @@ LightLtModel::ForwardOutput LightLtModel::Forward(const Matrix& batch,
 }
 
 Matrix LightLtModel::Embed(const Matrix& x) const {
-  Var input = MakeConstant(x, "inference_batch");
-  return backbone_->Forward(input)->value();
+  LIGHTLT_CHECK_EQ(x.cols(), config_.input_dim);
+  Matrix out(x.rows(), config_.embed_dim);
+  std::vector<float> scratch;
+  EmbedRows(x.data(), x.rows(), out.data(), &scratch);
+  return out;
+}
+
+void LightLtModel::EmbedRows(const float* x, size_t rows, float* out,
+                             std::vector<float>* scratch) const {
+  backbone_->Infer(x, rows, out, scratch);
 }
 
 void LightLtModel::EncodeDatabase(

@@ -54,7 +54,13 @@ class LightLtModel : public nn::Module {
   ForwardOutput Forward(const Matrix& batch, Rng* gumbel_rng = nullptr) const;
 
   /// Inference: continuous representation f(x) (query side of ADC search).
+  /// Tape-free, and bit-equal to Forward(x).embedding.
   Matrix Embed(const Matrix& x) const;
+
+  /// Embed of `rows` rows of x (row-major, input_dim wide) into `out`
+  /// (rows x embed_dim), with the hidden activations in `scratch`.
+  void EmbedRows(const float* x, size_t rows, float* out,
+                 std::vector<float>* scratch) const;
 
   /// Inference: hard codes for database items (Fig. 3 indexing workflow).
   void EncodeDatabase(const Matrix& x,

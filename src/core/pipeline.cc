@@ -10,19 +10,16 @@ namespace lightlt::core {
 Matrix EmbedInChunks(const LightLtModel& model, const Matrix& x,
                      size_t chunk, ThreadPool* pool) {
   LIGHTLT_CHECK_GT(chunk, 0u);
+  LIGHTLT_CHECK_EQ(x.cols(), model.config().input_dim);
   Matrix out(x.rows(), model.config().embed_dim);
-  // Forward passes only read the shared parameters, and each range writes a
-  // disjoint row span of `out`, so chunks embed concurrently without locks.
+  // Forward passes only read the shared parameters, and each range reads
+  // and writes disjoint row spans, so chunks embed concurrently without
+  // locks, straight from `x` into `out`.
   ParallelForRanges(
       pool, x.rows(),
       [&](size_t start, size_t end) {
-        std::vector<size_t> idx(end - start);
-        std::iota(idx.begin(), idx.end(), start);
-        const Matrix part = model.Embed(x.GatherRows(idx));
-        for (size_t i = 0; i < part.rows(); ++i) {
-          std::copy(part.row(i), part.row(i) + part.cols(),
-                    out.row(start + i));
-        }
+        std::vector<float> scratch;
+        model.EmbedRows(x.row(start), end - start, out.row(start), &scratch);
       },
       /*min_chunk=*/chunk);
   return out;

@@ -16,8 +16,8 @@
 
 namespace lightlt::core {
 
-/// Embeds `x` through the backbone in fixed-size chunks (bounds the autograd
-/// graph memory for large databases). Chunks are embedded in parallel on
+/// Embeds `x` through the backbone in fixed-size chunks (bounds the hidden
+/// activation buffers for large databases). Chunks are embedded in parallel on
 /// `pool` when provided; chunk boundaries are independent of the thread
 /// count, so the result is identical for any pool size.
 Matrix EmbedInChunks(const LightLtModel& model, const Matrix& x,

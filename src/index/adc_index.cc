@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "src/obs/profile.h"
+#include "src/tensor/dense_product.h"
 #include "src/util/chaos.h"
 #include "src/util/check.h"
 #include "src/util/io.h"
@@ -138,19 +139,11 @@ size_t AdcIndex::PositionOf(size_t slot) const {
 }
 
 std::vector<float> AdcIndex::BuildLookupTables(const float* query) const {
-  const size_t m = codebooks_.size();
   const size_t k = num_codewords();
-  const size_t d = dim();
-  std::vector<float> lut(m * k);
-  for (size_t cb = 0; cb < m; ++cb) {
-    const Matrix& book = codebooks_[cb];
-    float* row = lut.data() + cb * k;
-    for (size_t j = 0; j < k; ++j) {
-      const float* word = book.row(j);
-      float acc = 0.0f;
-      for (size_t t = 0; t < d; ++t) acc += query[t] * word[t];
-      row[j] = acc;
-    }
+  std::vector<float> lut(codebooks_.size() * k);
+  for (size_t cb = 0; cb < codebooks_.size(); ++cb) {
+    DenseProduct(ProductLayout::kABt, query, codebooks_[cb].data(), 1, k,
+                 dim(), lut.data() + cb * k);
   }
   return lut;
 }

@@ -112,6 +112,10 @@ class AdcIndex {
   /// Every stored id, nearest first (for MAP evaluation).
   std::vector<uint32_t> RankAll(const float* query) const;
 
+  /// Per-query lookup tables lut[cb*K + j] = <q, C_cb[j]>, each a
+  /// DenseProduct dot (k-order sum, no FMA). O(dMK).
+  std::vector<float> BuildLookupTables(const float* query) const;
+
   /// Reconstructs the item in `slot` as the sum of its selected codewords.
   Matrix Reconstruct(size_t slot) const;
 
@@ -180,9 +184,6 @@ class AdcIndex {
 
   /// Picks the fast-scan kernel (Build/Load epilogue).
   void SelectKernel();
-
-  /// Per-query lookup tables lut[cb*K + j] = <q, C_cb[j]>. O(dMK).
-  std::vector<float> BuildLookupTables(const float* query) const;
 
   /// Byte offset of codebook `cb`'s code at blocked position `pos`.
   size_t BlockedOffset(size_t pos, size_t cb) const {

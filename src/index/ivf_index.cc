@@ -5,6 +5,7 @@
 
 #include "src/clustering/kmeans.h"
 #include "src/obs/profile.h"
+#include "src/tensor/dense_product.h"
 #include "src/util/chaos.h"
 #include "src/util/io.h"
 
@@ -62,9 +63,8 @@ Result<IvfAdcIndex> IvfAdcIndex::Build(
   idx.centroid_norms_.resize(cells);
   for (size_t c = 0; c < cells; ++c) {
     const float* centroid = idx.centroids_.row(c);
-    float norm = 0.0f;
-    for (size_t j = 0; j < d; ++j) norm += centroid[j] * centroid[j];
-    idx.centroid_norms_[c] = norm;
+    DenseProduct(ProductLayout::kABt, centroid, centroid, 1, 1, d,
+                 &idx.centroid_norms_[c]);
   }
 
   // The store lays the items out cell by cell, in id order within a cell.
@@ -116,11 +116,10 @@ std::vector<SlotRange> IvfAdcIndex::Probes(const float* query,
   // nprobe cells are the ranges the store scans.
   obs::ProfilePhase route_phase("ivf_route");
   std::vector<float> cell_scores(cells);
+  DenseProduct(ProductLayout::kABt, query, centroids_.data(), 1, cells, d,
+               cell_scores.data());
   for (size_t c = 0; c < cells; ++c) {
-    const float* centroid = centroids_.row(c);
-    float dot = 0.0f;
-    for (size_t j = 0; j < d; ++j) dot += query[j] * centroid[j];
-    cell_scores[c] = centroid_norms_[c] - 2.0f * dot;
+    cell_scores[c] = centroid_norms_[c] - 2.0f * cell_scores[c];
   }
   std::vector<uint32_t> cell_order(cells);
   std::iota(cell_order.begin(), cell_order.end(), 0u);
@@ -139,7 +138,6 @@ std::vector<SlotRange> IvfAdcIndex::Probes(const float* query,
 double IvfAdcIndex::ExpectedScanFraction(size_t nprobe_override) const {
   if (num_items() == 0) return 0.0;
   const size_t cells = centroids_.rows();
-  const size_t d = centroids_.cols();
   const size_t nprobe = std::min(
       nprobe_override == 0 ? options_.nprobe : nprobe_override, cells);
   const auto cell_items = [this](size_t c) {
@@ -153,16 +151,13 @@ double IvfAdcIndex::ExpectedScanFraction(size_t nprobe_override) const {
   // than the uniform nprobe/cells estimate.
   const double total = static_cast<double>(num_items());
   double expected = 0.0;
+  const Matrix dots = centroids_.MatMulTransposed(centroids_);
   std::vector<std::pair<float, uint32_t>> by_dist(cells);
   for (size_t c = 0; c < cells; ++c) {
     const double seed_weight = cell_items(c) / total;
     if (seed_weight == 0.0) continue;
-    const float* seed = centroids_.row(c);
     for (size_t o = 0; o < cells; ++o) {
-      const float* other = centroids_.row(o);
-      float dot = 0.0f;
-      for (size_t j = 0; j < d; ++j) dot += seed[j] * other[j];
-      by_dist[o] = {centroid_norms_[o] - 2.0f * dot,
+      by_dist[o] = {centroid_norms_[o] - 2.0f * dots.at(c, o),
                     static_cast<uint32_t>(o)};
     }
     std::partial_sort(by_dist.begin(), by_dist.begin() + nprobe,

@@ -1,6 +1,11 @@
 #include "src/nn/linear.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include "src/nn/init.h"
+#include "src/tensor/dense_product.h"
 #include "src/util/check.h"
 
 namespace lightlt::nn {
@@ -15,6 +20,32 @@ Linear::Linear(size_t in_features, size_t out_features, Rng& rng)
 Var Linear::Forward(const Var& x) const {
   LIGHTLT_CHECK_EQ(x->value().cols(), in_features_);
   return ops::AddRowBroadcast(ops::MatMul(x, weight_), bias_);
+}
+
+namespace {
+
+// ops::Relu's result (v > 0 ? v : +0, so NaN and -0 give +0) without a
+// branch: hidden pre-activations are positive about half the time, and a
+// branch on their sign mispredicts on every other element.
+float Relu(float v) {
+  const uint32_t keep = 0u - static_cast<uint32_t>(v > 0.0f);
+  return std::bit_cast<float>(std::bit_cast<uint32_t>(v) & keep);
+}
+
+}  // namespace
+
+void Linear::Infer(const float* x, size_t rows, float* out, bool relu) const {
+  DenseProduct(ProductLayout::kAB, x, weight_->value().data(), rows,
+               out_features_, in_features_, out);
+  const float* bias = bias_->value().data();
+  for (size_t i = 0; i < rows; ++i) {
+    float* r = out + i * out_features_;
+    if (relu) {
+      for (size_t j = 0; j < out_features_; ++j) r[j] = Relu(r[j] + bias[j]);
+    } else {
+      for (size_t j = 0; j < out_features_; ++j) r[j] += bias[j];
+    }
+  }
 }
 
 Ffn::Ffn(size_t in_features, size_t hidden, size_t out_features, Rng& rng)
@@ -45,6 +76,26 @@ Var MlpBackbone::Forward(const Var& x) const {
     if (i + 1 < layers_.size()) h = ops::Relu(h);
   }
   return h;
+}
+
+void MlpBackbone::Infer(const float* x, size_t rows, float* out,
+                        std::vector<float>* scratch) const {
+  // Hidden layers alternate between two halves of `scratch`; the output
+  // layer writes `out` directly.
+  size_t widest = 0;
+  for (size_t i = 0; i + 1 < layers_.size(); ++i) {
+    widest = std::max(widest, layers_[i].out_features());
+  }
+  const size_t half = rows * widest;
+  const size_t halves = std::min<size_t>(2, layers_.size() - 1);
+  if (scratch->size() < halves * half) scratch->resize(halves * half);
+  const float* in = x;
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    const bool last = i + 1 == layers_.size();
+    float* dst = last ? out : scratch->data() + (i % 2) * half;
+    layers_[i].Infer(in, rows, dst, /*relu=*/!last);
+    in = dst;
+  }
 }
 
 std::vector<Var> MlpBackbone::Parameters() const {

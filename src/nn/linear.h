@@ -20,6 +20,11 @@ class Linear : public Module {
   /// Forward pass for a batch x (n x in) -> (n x out).
   Var Forward(const Var& x) const;
 
+  /// Tape-free Forward on `rows` rows of x (row-major, in_features wide)
+  /// into `out` (rows x out_features), followed by ReLU when `relu` is set:
+  /// the same arithmetic as Forward (then ops::Relu), so the same bits.
+  void Infer(const float* x, size_t rows, float* out, bool relu) const;
+
   std::vector<Var> Parameters() const override { return {weight_, bias_}; }
 
   size_t in_features() const { return in_features_; }
@@ -60,6 +65,12 @@ class MlpBackbone : public Module {
   MlpBackbone(const std::vector<size_t>& dims, Rng& rng);
 
   Var Forward(const Var& x) const;
+
+  /// Tape-free Forward on `rows` rows of x into `out` (rows x output_dim),
+  /// bit-equal to Forward and building no autograd nodes. Hidden
+  /// activations live in `scratch`, which grows once and is reused.
+  void Infer(const float* x, size_t rows, float* out,
+             std::vector<float>* scratch) const;
 
   std::vector<Var> Parameters() const override;
 

@@ -1,0 +1,55 @@
+// The one dense float product kernel behind Matrix::MatMul,
+// Matrix::TransposedMatMul and Matrix::MatMulTransposed, and through them
+// training, embedding, DSQ encoding, the ADC lookup tables and IVF routing
+// (DESIGN.md §17).
+//
+// Every output has one fixed arithmetic: c_ij starts at 0.0f and adds the
+// rounded product A(i,t)·B(t,j) for t = 0, 1, ..., k-1 in that order, each
+// add rounded on its own (no fused multiply-add). The SIMD variants compute
+// many outputs at once, one output per vector lane, so each lane's sum is
+// the same serial chain the scalar reference runs and every variant returns
+// bit-identical results.
+
+#ifndef LIGHTLT_TENSOR_DENSE_PRODUCT_H_
+#define LIGHTLT_TENSOR_DENSE_PRODUCT_H_
+
+#include <cstddef>
+#include <vector>
+
+namespace lightlt {
+
+/// Operand layouts; C is always m x n row-major and is overwritten.
+enum class ProductLayout {
+  /// A is m x k, B is k x n (Matrix::MatMul). Terms with A(i,t) == 0.0f
+  /// (either sign) are skipped.
+  kAB,
+  /// A is k x m, B is k x n: C = Aᵀ·B (Matrix::TransposedMatMul). Terms
+  /// with A(t,i) == 0.0f are skipped.
+  kAtB,
+  /// A is m x k, B is n x k: C = A·Bᵀ (Matrix::MatMulTransposed), the
+  /// row-against-row dot products. No term is skipped.
+  kABt,
+};
+
+/// A skipped term differs from an added one only when the B entry is Inf or
+/// NaN (0·Inf = NaN); the skip keeps backprop through ReLU zeros cheap.
+using DenseProductFn = void (*)(ProductLayout layout, const float* a,
+                                const float* b, size_t m, size_t n, size_t k,
+                                float* c);
+
+struct DenseKernel {
+  const char* name;
+  DenseProductFn fn;
+};
+
+/// The variants this CPU can run, widest vectors first; the last one is
+/// always the scalar reference.
+std::vector<DenseKernel> AvailableDenseKernels();
+
+/// C = op(A)·op(B) on the widest available variant, chosen once per process.
+void DenseProduct(ProductLayout layout, const float* a, const float* b,
+                  size_t m, size_t n, size_t k, float* c);
+
+}  // namespace lightlt
+
+#endif  // LIGHTLT_TENSOR_DENSE_PRODUCT_H_

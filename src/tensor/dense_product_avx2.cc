@@ -1,0 +1,234 @@
+// AVX2 dense products: the AVX-512 routines' structure at 8 lanes, with
+// sign-bit lane masks (vmaskmov) instead of mask registers. Built without
+// FMA. Runtime-dispatched; stubs on non-x86.
+
+#include "src/tensor/dense_product_isa.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+
+#include <algorithm>
+
+namespace lightlt::detail {
+namespace {
+
+#define LIGHTLT_AVX2_TARGET __attribute__((target("avx2")))
+
+constexpr size_t kLanes = 8;
+
+// All-ones in lanes [0, count), zero above.
+LIGHTLT_AVX2_TARGET inline __m256i FirstLanes(size_t count) {
+  return _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>(std::min(count, kLanes))),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// R rows x V vectors of C against rows of B (kAB, kAtB). A skipped term
+// adds +0 (the product and-ed with a zero keep mask), and a sum that
+// starts at +0 is never -0, so that add changes nothing.
+template <size_t R, size_t V>
+LIGHTLT_AVX2_TARGET inline void RowTile(const float* a, size_t a_rs,
+                                        size_t a_cs, const float* b,
+                                        size_t ldb, size_t k,
+                                        const __m256i* cols, float* c,
+                                        size_t ldc) {
+  const __m256 zero = _mm256_setzero_ps();
+  __m256 acc[R][V];
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (size_t v = 0; v < V; ++v) acc[r][v] = zero;
+  }
+  for (size_t t = 0; t < k; ++t) {
+    __m256 bv[V];
+#pragma GCC unroll 2
+    for (size_t v = 0; v < V; ++v) {
+      bv[v] = _mm256_maskload_ps(b + t * ldb + v * kLanes, cols[v]);
+    }
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) {
+      const __m256 av = _mm256_set1_ps(a[r * a_rs + t * a_cs]);
+      const __m256 keep = _mm256_cmp_ps(av, zero, _CMP_NEQ_UQ);
+#pragma GCC unroll 2
+      for (size_t v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_add_ps(
+            acc[r][v], _mm256_and_ps(_mm256_mul_ps(av, bv[v]), keep));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (size_t v = 0; v < V; ++v) {
+      _mm256_maskstore_ps(c + r * ldc + v * kLanes, cols[v], acc[r][v]);
+    }
+  }
+}
+
+template <size_t V>
+LIGHTLT_AVX2_TARGET void RowTileRows(size_t rows, const float* a, size_t a_rs,
+                                     size_t a_cs, const float* b, size_t ldb,
+                                     size_t k, const __m256i* cols, float* c,
+                                     size_t ldc) {
+  switch (rows) {
+    case 4: return RowTile<4, V>(a, a_rs, a_cs, b, ldb, k, cols, c, ldc);
+    case 3: return RowTile<3, V>(a, a_rs, a_cs, b, ldb, k, cols, c, ldc);
+    case 2: return RowTile<2, V>(a, a_rs, a_cs, b, ldb, k, cols, c, ldc);
+    default: return RowTile<1, V>(a, a_rs, a_cs, b, ldb, k, cols, c, ldc);
+  }
+}
+
+// kAB (a_rs = k, a_cs = 1) and kAtB (a_rs = 1, a_cs = m): 4 rows x 16
+// columns of C per tile.
+LIGHTLT_AVX2_TARGET void RowProduct(const float* a, size_t a_rs, size_t a_cs,
+                                    const float* b, size_t m, size_t n,
+                                    size_t k, float* c) {
+  for (size_t i = 0; i < m; i += 4) {
+    const size_t rows = std::min<size_t>(4, m - i);
+    for (size_t j = 0; j < n; j += 2 * kLanes) {
+      const size_t width = std::min(2 * kLanes, n - j);
+      const __m256i cols[2] = {
+          FirstLanes(width), FirstLanes(width > kLanes ? width - kLanes : 0)};
+      const float* a_tile = a + i * a_rs;
+      float* c_tile = c + i * n + j;
+      if (width > kLanes) {
+        RowTileRows<2>(rows, a_tile, a_rs, a_cs, b + j, n, k, cols, c_tile, n);
+      } else {
+        RowTileRows<1>(rows, a_tile, a_rs, a_cs, b + j, n, k, cols, c_tile, n);
+      }
+    }
+  }
+}
+
+// In-register transpose: on return r[c] lane l holds what r[l] lane c held.
+LIGHTLT_AVX2_TARGET inline void Transpose8(__m256 (&r)[kLanes]) {
+  __m256 t[kLanes];
+#pragma GCC unroll 4
+  for (size_t i = 0; i < kLanes; i += 2) {
+    t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+    t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+  }
+#pragma GCC unroll 2
+  for (size_t i = 0; i < kLanes; i += 4) {
+    r[i] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    r[i + 1] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    r[i + 2] = _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    r[i + 3] = _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+#pragma GCC unroll 4
+  for (size_t i = 0; i < 4; ++i) {
+    t[i] = _mm256_permute2f128_ps(r[i], r[i + 4], 0x20);
+    t[i + 4] = _mm256_permute2f128_ps(r[i], r[i + 4], 0x31);
+  }
+#pragma GCC unroll 8
+  for (size_t i = 0; i < kLanes; ++i) r[i] = t[i];
+}
+
+// R rows of C advanced by one transposed tile: bt[tt] lane jj =
+// B[j + jj][t0 + tt]. Terms past the end of k add 0·0 = +0.
+template <size_t R, bool kFull>
+LIGHTLT_AVX2_TARGET inline void TileRows(const __m256 (&bt)[kLanes],
+                                         const float* a, size_t lda,
+                                         size_t terms, bool first,
+                                         __m256i cols, float* c, size_t ldc) {
+  __m256 acc[R];
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r) {
+    acc[r] = first ? _mm256_setzero_ps() : _mm256_maskload_ps(c + r * ldc, cols);
+  }
+#pragma GCC unroll 8
+  for (size_t tt = 0; tt < kLanes; ++tt) {
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) {
+      const float av = kFull || tt < terms ? a[r * lda + tt] : 0.0f;
+      acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(_mm256_set1_ps(av), bt[tt]));
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r) _mm256_maskstore_ps(c + r * ldc, cols, acc[r]);
+}
+
+template <bool kFull>
+LIGHTLT_AVX2_TARGET void TileAllRows(const __m256 (&bt)[kLanes],
+                                     const float* a, size_t rows, size_t lda,
+                                     size_t terms, bool first, __m256i cols,
+                                     float* c, size_t ldc) {
+  size_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    TileRows<4, kFull>(bt, a + i * lda, lda, terms, first, cols, c + i * ldc,
+                       ldc);
+  }
+  for (; i < rows; ++i) {
+    TileRows<1, kFull>(bt, a + i * lda, lda, terms, first, cols, c + i * ldc,
+                       ldc);
+  }
+}
+
+// kABt: the AVX-512 tiling at 8x8 tiles.
+LIGHTLT_AVX2_TARGET void TransposedProduct(const float* a, const float* b,
+                                           size_t m, size_t n, size_t k,
+                                           float* c) {
+  constexpr size_t kRowBlock = 64;
+  for (size_t i = 0; i < m; i += kRowBlock) {
+    const size_t rows = std::min(kRowBlock, m - i);
+    for (size_t t = 0; t < k; t += kLanes) {
+      const size_t terms = std::min(kLanes, k - t);
+      const __m256i term_mask = FirstLanes(terms);
+      for (size_t j = 0; j < n; j += kLanes) {
+        const size_t width = std::min(kLanes, n - j);
+        const __m256i cols = FirstLanes(width);
+        __m256 bt[kLanes];
+#pragma GCC unroll 8
+        for (size_t jj = 0; jj < kLanes; ++jj) {
+          bt[jj] = jj < width
+                       ? _mm256_maskload_ps(b + (j + jj) * k + t, term_mask)
+                       : _mm256_setzero_ps();
+        }
+        Transpose8(bt);
+        const float* a_tile = a + i * k + t;
+        float* c_tile = c + i * n + j;
+        if (terms == kLanes) {
+          TileAllRows<true>(bt, a_tile, rows, k, terms, t == 0, cols, c_tile,
+                            n);
+        } else {
+          TileAllRows<false>(bt, a_tile, rows, k, terms, t == 0, cols, c_tile,
+                             n);
+        }
+      }
+    }
+  }
+}
+
+#undef LIGHTLT_AVX2_TARGET
+
+}  // namespace
+
+bool DenseAvx2Supported() { return __builtin_cpu_supports("avx2") != 0; }
+
+void DenseProductAvx2(ProductLayout layout, const float* a, const float* b,
+                      size_t m, size_t n, size_t k, float* c) {
+  if (k == 0) {
+    std::fill(c, c + m * n, 0.0f);
+    return;
+  }
+  switch (layout) {
+    case ProductLayout::kAB:
+      return RowProduct(a, k, 1, b, m, n, k, c);
+    case ProductLayout::kAtB:
+      return RowProduct(a, 1, m, b, m, n, k, c);
+    case ProductLayout::kABt:
+      return TransposedProduct(a, b, m, n, k, c);
+  }
+}
+
+}  // namespace lightlt::detail
+
+#else  // non-x86
+
+namespace lightlt::detail {
+bool DenseAvx2Supported() { return false; }
+void DenseProductAvx2(ProductLayout, const float*, const float*, size_t,
+                      size_t, size_t, float*) {}
+}  // namespace lightlt::detail
+
+#endif

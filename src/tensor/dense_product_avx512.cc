@@ -1,0 +1,253 @@
+// AVX-512F dense products: one output column per lane, 16 per vector.
+// kAB and kAtB broadcast A(i,t) against a row of B; kABt transposes 16x16
+// tiles of B in registers, so no packed copy of B is ever stored.
+// Runtime-dispatched; stubs on non-x86.
+
+#include "src/tensor/dense_product_isa.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+
+#include <algorithm>
+
+// GCC's avx512 intrinsic headers self-initialize undefined vectors with the
+// "__Y = __Y" idiom, which -Wmaybe-uninitialized flags from any inlined use
+// site; the values are fully overwritten before use.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
+namespace lightlt::detail {
+namespace {
+
+#define LIGHTLT_AVX512_TARGET __attribute__((target("avx512f")))
+
+constexpr size_t kLanes = 16;
+
+LIGHTLT_AVX512_TARGET inline __mmask16 FirstLanes(size_t count) {
+  return count >= kLanes ? static_cast<__mmask16>(0xFFFF)
+                         : static_cast<__mmask16>((1u << count) - 1);
+}
+
+// R rows x V vectors of C against rows of B (kAB, kAtB). A(r, t) is
+// a[r * a_rs + t * a_cs]. The zero skip is a masked add: a skipped lane
+// keeps its sum, exactly as the scalar `continue` does.
+template <size_t R, size_t V>
+LIGHTLT_AVX512_TARGET inline void RowTile(const float* a, size_t a_rs,
+                                          size_t a_cs, const float* b,
+                                          size_t ldb, size_t k,
+                                          const __mmask16* cols, float* c,
+                                          size_t ldc) {
+  const __m512 zero = _mm512_setzero_ps();
+  __m512 acc[R][V];
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (size_t v = 0; v < V; ++v) acc[r][v] = zero;
+  }
+  for (size_t t = 0; t < k; ++t) {
+    __m512 bv[V];
+#pragma GCC unroll 2
+    for (size_t v = 0; v < V; ++v) {
+      bv[v] = _mm512_maskz_loadu_ps(cols[v], b + t * ldb + v * kLanes);
+    }
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) {
+      const __m512 av = _mm512_set1_ps(a[r * a_rs + t * a_cs]);
+      const __mmask16 keep = _mm512_cmp_ps_mask(av, zero, _CMP_NEQ_UQ);
+#pragma GCC unroll 2
+      for (size_t v = 0; v < V; ++v) {
+        acc[r][v] = _mm512_mask_add_ps(acc[r][v], keep, acc[r][v],
+                                       _mm512_mul_ps(av, bv[v]));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (size_t v = 0; v < V; ++v) {
+      _mm512_mask_storeu_ps(c + r * ldc + v * kLanes, cols[v], acc[r][v]);
+    }
+  }
+}
+
+template <size_t V>
+LIGHTLT_AVX512_TARGET void RowTileRows(size_t rows, const float* a,
+                                       size_t a_rs, size_t a_cs,
+                                       const float* b, size_t ldb, size_t k,
+                                       const __mmask16* cols, float* c,
+                                       size_t ldc) {
+  switch (rows) {
+    case 4: return RowTile<4, V>(a, a_rs, a_cs, b, ldb, k, cols, c, ldc);
+    case 3: return RowTile<3, V>(a, a_rs, a_cs, b, ldb, k, cols, c, ldc);
+    case 2: return RowTile<2, V>(a, a_rs, a_cs, b, ldb, k, cols, c, ldc);
+    default: return RowTile<1, V>(a, a_rs, a_cs, b, ldb, k, cols, c, ldc);
+  }
+}
+
+// kAB (a_rs = k, a_cs = 1) and kAtB (a_rs = 1, a_cs = m): 4 rows x 32
+// columns of C per tile, B rows contiguous.
+LIGHTLT_AVX512_TARGET void RowProduct(const float* a, size_t a_rs,
+                                      size_t a_cs, const float* b, size_t m,
+                                      size_t n, size_t k, float* c) {
+  for (size_t i = 0; i < m; i += 4) {
+    const size_t rows = std::min<size_t>(4, m - i);
+    for (size_t j = 0; j < n; j += 2 * kLanes) {
+      const size_t width = std::min(2 * kLanes, n - j);
+      const __mmask16 cols[2] = {FirstLanes(width),
+                                 FirstLanes(width > kLanes ? width - kLanes
+                                                           : 0)};
+      const float* a_tile = a + i * a_rs;
+      float* c_tile = c + i * n + j;
+      if (width > kLanes) {
+        RowTileRows<2>(rows, a_tile, a_rs, a_cs, b + j, n, k, cols, c_tile, n);
+      } else {
+        RowTileRows<1>(rows, a_tile, a_rs, a_cs, b + j, n, k, cols, c_tile, n);
+      }
+    }
+  }
+}
+
+// In-register transpose: on return r[c] lane l holds what r[l] lane c held.
+LIGHTLT_AVX512_TARGET inline void Transpose16(__m512 (&r)[kLanes]) {
+  __m512 t[kLanes];
+#pragma GCC unroll 8
+  for (size_t i = 0; i < kLanes; i += 2) {
+    t[i] = _mm512_unpacklo_ps(r[i], r[i + 1]);
+    t[i + 1] = _mm512_unpackhi_ps(r[i], r[i + 1]);
+  }
+#pragma GCC unroll 4
+  for (size_t i = 0; i < kLanes; i += 4) {
+    r[i] = _mm512_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    r[i + 1] = _mm512_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    r[i + 2] = _mm512_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    r[i + 3] = _mm512_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+#pragma GCC unroll 4
+  for (size_t i = 0; i < 4; ++i) {
+    t[i] = _mm512_shuffle_f32x4(r[i], r[i + 4], 0x88);
+    t[i + 4] = _mm512_shuffle_f32x4(r[i], r[i + 4], 0xdd);
+    t[i + 8] = _mm512_shuffle_f32x4(r[i + 8], r[i + 12], 0x88);
+    t[i + 12] = _mm512_shuffle_f32x4(r[i + 8], r[i + 12], 0xdd);
+  }
+#pragma GCC unroll 8
+  for (size_t i = 0; i < 8; ++i) {
+    r[i] = _mm512_shuffle_f32x4(t[i], t[i + 8], 0x88);
+    r[i + 8] = _mm512_shuffle_f32x4(t[i], t[i + 8], 0xdd);
+  }
+}
+
+// R rows of C (lanes = 16 columns j) advanced by one transposed tile:
+// bt[tt] lane jj = B[j + jj][t0 + tt]. Terms past the end of k (a partial
+// tile, kFull false) add 0·0 = +0, which leaves every sum unchanged.
+template <size_t R, bool kFull>
+LIGHTLT_AVX512_TARGET inline void TileRows(const __m512 (&bt)[kLanes],
+                                           const float* a, size_t lda,
+                                           size_t terms, bool first,
+                                           __mmask16 cols, float* c,
+                                           size_t ldc) {
+  __m512 acc[R];
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r) {
+    acc[r] = first ? _mm512_setzero_ps()
+                   : _mm512_maskz_loadu_ps(cols, c + r * ldc);
+  }
+#pragma GCC unroll 16
+  for (size_t tt = 0; tt < kLanes; ++tt) {
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) {
+      const float av = kFull || tt < terms ? a[r * lda + tt] : 0.0f;
+      acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(_mm512_set1_ps(av), bt[tt]));
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r) _mm512_mask_storeu_ps(c + r * ldc, cols, acc[r]);
+}
+
+template <bool kFull>
+LIGHTLT_AVX512_TARGET void TileAllRows(const __m512 (&bt)[kLanes],
+                                       const float* a, size_t rows,
+                                       size_t lda, size_t terms, bool first,
+                                       __mmask16 cols, float* c, size_t ldc) {
+  size_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    TileRows<4, kFull>(bt, a + i * lda, lda, terms, first, cols, c + i * ldc,
+                       ldc);
+  }
+  for (; i < rows; ++i) {
+    TileRows<1, kFull>(bt, a + i * lda, lda, terms, first, cols, c + i * ldc,
+                       ldc);
+  }
+}
+
+// kABt: for each 16-term slice of k and each 16-row block of B, load and
+// transpose the tile once, then advance every row of a row block of C. Row
+// blocks of 64 keep their slice of C and A in L1 across the tiles, and
+// consecutive tiles feed different outputs, so their add chains overlap.
+LIGHTLT_AVX512_TARGET void TransposedProduct(const float* a, const float* b,
+                                             size_t m, size_t n, size_t k,
+                                             float* c) {
+  constexpr size_t kRowBlock = 64;
+  for (size_t i = 0; i < m; i += kRowBlock) {
+    const size_t rows = std::min(kRowBlock, m - i);
+    for (size_t t = 0; t < k; t += kLanes) {
+      const size_t terms = std::min(kLanes, k - t);
+      const __mmask16 term_mask = FirstLanes(terms);
+      for (size_t j = 0; j < n; j += kLanes) {
+        const size_t width = std::min(kLanes, n - j);
+        const __mmask16 cols = FirstLanes(width);
+        __m512 bt[kLanes];
+#pragma GCC unroll 16
+        for (size_t jj = 0; jj < kLanes; ++jj) {
+          bt[jj] = jj < width
+                       ? _mm512_maskz_loadu_ps(term_mask, b + (j + jj) * k + t)
+                       : _mm512_setzero_ps();
+        }
+        Transpose16(bt);
+        const float* a_tile = a + i * k + t;
+        float* c_tile = c + i * n + j;
+        if (terms == kLanes) {
+          TileAllRows<true>(bt, a_tile, rows, k, terms, t == 0, cols, c_tile,
+                            n);
+        } else {
+          TileAllRows<false>(bt, a_tile, rows, k, terms, t == 0, cols, c_tile,
+                             n);
+        }
+      }
+    }
+  }
+}
+
+#undef LIGHTLT_AVX512_TARGET
+
+}  // namespace
+
+bool DenseAvx512Supported() { return __builtin_cpu_supports("avx512f") != 0; }
+
+void DenseProductAvx512(ProductLayout layout, const float* a, const float* b,
+                        size_t m, size_t n, size_t k, float* c) {
+  if (k == 0) {
+    std::fill(c, c + m * n, 0.0f);
+    return;
+  }
+  switch (layout) {
+    case ProductLayout::kAB:
+      return RowProduct(a, k, 1, b, m, n, k, c);
+    case ProductLayout::kAtB:
+      return RowProduct(a, 1, m, b, m, n, k, c);
+    case ProductLayout::kABt:
+      return TransposedProduct(a, b, m, n, k, c);
+  }
+}
+
+}  // namespace lightlt::detail
+
+#else  // non-x86
+
+namespace lightlt::detail {
+bool DenseAvx512Supported() { return false; }
+void DenseProductAvx512(ProductLayout, const float*, const float*, size_t,
+                        size_t, size_t, float*) {}
+}  // namespace lightlt::detail
+
+#endif

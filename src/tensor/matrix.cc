@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "src/tensor/dense_product.h"
+
 namespace lightlt {
 
 Matrix Matrix::Identity(size_t n) {
@@ -83,17 +85,8 @@ Matrix Matrix::Scale(float s) const {
 Matrix Matrix::MatMul(const Matrix& other) const {
   LIGHTLT_CHECK_EQ(cols_, other.rows_);
   Matrix out(rows_, other.cols_);
-  // ikj loop order: streams through `other` and `out` rows sequentially.
-  for (size_t i = 0; i < rows_; ++i) {
-    const float* a_row = row(i);
-    float* o_row = out.row(i);
-    for (size_t k = 0; k < cols_; ++k) {
-      const float a = a_row[k];
-      if (a == 0.0f) continue;
-      const float* b_row = other.row(k);
-      for (size_t j = 0; j < other.cols_; ++j) o_row[j] += a * b_row[j];
-    }
-  }
+  DenseProduct(ProductLayout::kAB, data(), other.data(), rows_, other.cols_,
+               cols_, out.data());
   return out;
 }
 
@@ -101,16 +94,8 @@ Matrix Matrix::TransposedMatMul(const Matrix& other) const {
   // (this^T * other): this is (k x m), other is (k x n) -> (m x n).
   LIGHTLT_CHECK_EQ(rows_, other.rows_);
   Matrix out(cols_, other.cols_);
-  for (size_t k = 0; k < rows_; ++k) {
-    const float* a_row = row(k);
-    const float* b_row = other.row(k);
-    for (size_t i = 0; i < cols_; ++i) {
-      const float a = a_row[i];
-      if (a == 0.0f) continue;
-      float* o_row = out.row(i);
-      for (size_t j = 0; j < other.cols_; ++j) o_row[j] += a * b_row[j];
-    }
-  }
+  DenseProduct(ProductLayout::kAtB, data(), other.data(), cols_, other.cols_,
+               rows_, out.data());
   return out;
 }
 
@@ -118,16 +103,8 @@ Matrix Matrix::MatMulTransposed(const Matrix& other) const {
   // (this * other^T): this is (m x k), other is (n x k) -> (m x n).
   LIGHTLT_CHECK_EQ(cols_, other.cols_);
   Matrix out(rows_, other.rows_);
-  for (size_t i = 0; i < rows_; ++i) {
-    const float* a_row = row(i);
-    float* o_row = out.row(i);
-    for (size_t j = 0; j < other.rows_; ++j) {
-      const float* b_row = other.row(j);
-      float acc = 0.0f;
-      for (size_t k = 0; k < cols_; ++k) acc += a_row[k] * b_row[k];
-      o_row[j] = acc;
-    }
-  }
+  DenseProduct(ProductLayout::kABt, data(), other.data(), rows_, other.rows_,
+               cols_, out.data());
   return out;
 }
 

@@ -83,9 +83,11 @@ class Matrix {
   Matrix Mul(const Matrix& other) const;  // Hadamard
   Matrix Scale(float s) const;
 
-  /// Matrix product this (m x k) * other (k x n) -> (m x n).
+  /// Matrix product this (m x k) * other (k x n) -> (m x n). The three
+  /// products run on DenseProduct (src/tensor/dense_product.h), which fixes
+  /// each output's arithmetic: a k-order sum from 0.0f, no FMA.
   Matrix MatMul(const Matrix& other) const;
-  /// this^T (k x m) * other... convenience fused transposes.
+  /// Fused transposes, without materializing the transpose.
   Matrix TransposedMatMul(const Matrix& other) const;  // this^T * other
   Matrix MatMulTransposed(const Matrix& other) const;  // this * other^T
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 namespace lightlt::core {
 namespace {
 
@@ -75,15 +77,22 @@ TEST(LightLtModelTest, HeadSeedVariesHeadOnly) {
       b.dsq().main_codebooks()[0]->value(), 1e-5f));
 }
 
+bool BitEqual(const Matrix& a, const Matrix& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
 TEST(LightLtModelTest, EmbedIsDeterministicAndMatchesForward) {
+  // Embed runs the backbone without the tape; it must produce the taped
+  // Forward's embedding bit for bit, ReLU zeros and all.
   LightLtModel model(Config(), 3);
   Rng rng(4);
   Matrix x = Matrix::RandomGaussian(5, 10, rng);
   const Matrix e1 = model.Embed(x);
   const Matrix e2 = model.Embed(x);
-  EXPECT_TRUE(e1.AllClose(e2, 0.0f));
+  EXPECT_TRUE(BitEqual(e1, e2));
   auto out = model.Forward(x);
-  EXPECT_TRUE(out.embedding->value().AllClose(e1, 1e-5f));
+  EXPECT_TRUE(BitEqual(out.embedding->value(), e1));
 }
 
 TEST(LightLtModelTest, EncodeDatabaseMatchesManualPipeline) {

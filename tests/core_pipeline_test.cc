@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/core/trainer.h"
 
 namespace lightlt::core {
@@ -42,7 +44,17 @@ TEST(PipelineTest, EmbedInChunksMatchesSinglePass) {
   Matrix x = Matrix::RandomGaussian(33, 16, rng);
   const Matrix whole = model.Embed(x);
   const Matrix chunked = EmbedInChunks(model, x, /*chunk=*/7);
-  EXPECT_TRUE(whole.AllClose(chunked, 1e-5f));
+  ThreadPool pool(3);
+  const Matrix pooled = EmbedInChunks(model, x, /*chunk=*/7, &pool);
+  // Every row's arithmetic is independent of the chunk it lands in.
+  ASSERT_TRUE(whole.SameShape(chunked));
+  ASSERT_TRUE(whole.SameShape(pooled));
+  EXPECT_EQ(std::memcmp(whole.data(), chunked.data(),
+                        whole.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(whole.data(), pooled.data(),
+                        whole.size() * sizeof(float)),
+            0);
 }
 
 TEST(PipelineTest, BuildAdcIndexCoversDatabase) {

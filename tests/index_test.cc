@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -115,6 +116,38 @@ TEST_F(AdcIndexTest, ScoresMatchBruteForceOnReconstructions) {
       expected -= 2.0f * query_[j] * recon[j];
     }
     EXPECT_NEAR(scores[i], expected, 1e-3f);
+  }
+}
+
+TEST_F(AdcIndexTest, LookupTablesMatchScalarDots) {
+  // The float LUT is one dense-product dot per (codebook, codeword); it must
+  // equal the serial k-order dot bit for bit at every table width the scan
+  // kernels pad to.
+  Rng rng(17);
+  for (size_t k : {16, 64, 256}) {
+    const size_t m = 4, d = 64;
+    std::vector<Matrix> codebooks;
+    for (size_t cb = 0; cb < m; ++cb) {
+      codebooks.push_back(Matrix::RandomGaussian(k, d, rng));
+    }
+    std::vector<std::vector<uint32_t>> codes(3, std::vector<uint32_t>(m, 0));
+    auto built = AdcIndex::Build(codebooks, codes);
+    ASSERT_TRUE(built.ok());
+    const Matrix query = Matrix::RandomGaussian(1, d, rng);
+    const std::vector<float> lut =
+        built.value().BuildLookupTables(query.data());
+    std::vector<float> want(m * k);
+    for (size_t cb = 0; cb < m; ++cb) {
+      for (size_t j = 0; j < k; ++j) {
+        float acc = 0.0f;
+        for (size_t t = 0; t < d; ++t) acc += query[t] * codebooks[cb].at(j, t);
+        want[cb * k + j] = acc;
+      }
+    }
+    ASSERT_EQ(lut.size(), want.size());
+    EXPECT_EQ(std::memcmp(lut.data(), want.data(), want.size() * sizeof(float)),
+              0)
+        << "K=" << k;
   }
 }
 

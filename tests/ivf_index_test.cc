@@ -4,13 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <numeric>
 #include <set>
 #include <string>
 
 #include "src/baselines/shallow_quant.h"
 #include "src/clustering/kmeans.h"
 #include "src/index/adc_index.h"
+#include "src/index/kernels/scan_kernels.h"
 #include "src/serving/shard.h"
 #include "src/util/rng.h"
 
@@ -130,6 +133,64 @@ TEST(IvfAdcIndexTest, PartialProbeRecallIsHigh) {
     total += truth.size();
   }
   EXPECT_GT(static_cast<double>(overlap) / static_cast<double>(total), 0.6);
+}
+
+TEST(IvfAdcIndexTest, ProbeOrderMatchesScalarCentroidDots) {
+  // Probes ranks cells by ||c||^2 - 2<q, c> with dense-product dots; the
+  // order must be the one serial k-order float dots give, ties by cell id.
+  auto f = MakeFixture(600, 2, 16, 64, 12);
+  IvfOptions opts;
+  opts.num_cells = 24;
+  opts.nprobe = 6;
+  auto built = IvfAdcIndex::Build(f.embeddings, f.codebooks, f.codes, opts);
+  ASSERT_TRUE(built.ok());
+  const IvfAdcIndex& idx = built.value();
+
+  // Build's coarse quantizer, rerun, and its cell table: cells lie in id
+  // order, each starting on a block boundary.
+  clustering::KMeansOptions km;
+  km.num_clusters = opts.num_cells;
+  km.max_iterations = opts.kmeans_iterations;
+  km.seed = opts.seed;
+  const auto coarse = clustering::KMeans(f.embeddings, km);
+  const Matrix& centroids = coarse.centroids;
+  const size_t cells = centroids.rows();
+  ASSERT_EQ(cells, idx.num_cells());
+  std::vector<uint32_t> sizes(cells, 0);
+  for (uint32_t c : coarse.assignments) ++sizes[c];
+  std::vector<SlotRange> table(cells);
+  uint32_t slot = 0, block = 0;
+  for (size_t c = 0; c < cells; ++c) {
+    table[c] = {slot, slot + sizes[c], block};
+    slot += sizes[c];
+    block += static_cast<uint32_t>(kernels::NumBlocks(sizes[c]));
+  }
+
+  const size_t d = centroids.cols();
+  Rng rng(13);
+  for (int trial = 0; trial < 20; ++trial) {
+    const Matrix q = Matrix::RandomGaussian(1, d, rng);
+    std::vector<float> score(cells);
+    for (size_t c = 0; c < cells; ++c) {
+      float norm = 0.0f, dot = 0.0f;
+      for (size_t j = 0; j < d; ++j) norm += centroids.at(c, j) * centroids.at(c, j);
+      for (size_t j = 0; j < d; ++j) dot += q[j] * centroids.at(c, j);
+      score[c] = norm - 2.0f * dot;
+    }
+    std::vector<uint32_t> order(cells);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return score[a] < score[b] || (score[a] == score[b] && a < b);
+    });
+    const std::vector<SlotRange> probes = idx.Probes(q.data(), cells);
+    ASSERT_EQ(probes.size(), cells);
+    for (size_t p = 0; p < cells; ++p) {
+      const SlotRange& want = table[order[p]];
+      EXPECT_EQ(probes[p].begin, want.begin) << "trial " << trial << " p " << p;
+      EXPECT_EQ(probes[p].end, want.end) << "trial " << trial << " p " << p;
+      EXPECT_EQ(probes[p].first_block, want.first_block);
+    }
+  }
 }
 
 TEST(IvfAdcIndexTest, ScanFractionScalesWithNprobe) {

@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
+#include "src/tensor/dense_product.h"
 #include "src/util/rng.h"
 
 namespace lightlt {
@@ -135,6 +139,118 @@ TEST(MatrixTest, SquaredEuclideanMatchesNaive) {
         acc += diff * diff;
       }
       EXPECT_NEAR(d2.at(i, j), acc, 1e-3);
+    }
+  }
+}
+
+// The three product loops Matrix ran before DenseProduct, kept verbatim as
+// the reference every kernel variant must match bit for bit.
+void ReferenceMatMul(const float* a, const float* b, size_t m, size_t n,
+                     size_t k, float* out) {
+  std::fill(out, out + m * n, 0.0f);
+  for (size_t i = 0; i < m; ++i) {
+    const float* a_row = a + i * k;
+    float* o_row = out + i * n;
+    for (size_t t = 0; t < k; ++t) {
+      const float av = a_row[t];
+      if (av == 0.0f) continue;
+      const float* b_row = b + t * n;
+      for (size_t j = 0; j < n; ++j) o_row[j] += av * b_row[j];
+    }
+  }
+}
+
+void ReferenceTransposedMatMul(const float* a, const float* b, size_t m,
+                               size_t n, size_t k, float* out) {
+  std::fill(out, out + m * n, 0.0f);
+  for (size_t t = 0; t < k; ++t) {
+    const float* a_row = a + t * m;
+    const float* b_row = b + t * n;
+    for (size_t i = 0; i < m; ++i) {
+      const float av = a_row[i];
+      if (av == 0.0f) continue;
+      float* o_row = out + i * n;
+      for (size_t j = 0; j < n; ++j) o_row[j] += av * b_row[j];
+    }
+  }
+}
+
+void ReferenceMatMulTransposed(const float* a, const float* b, size_t m,
+                               size_t n, size_t k, float* out) {
+  for (size_t i = 0; i < m; ++i) {
+    const float* a_row = a + i * k;
+    float* o_row = out + i * n;
+    for (size_t j = 0; j < n; ++j) {
+      const float* b_row = b + j * k;
+      float acc = 0.0f;
+      for (size_t t = 0; t < k; ++t) acc += a_row[t] * b_row[t];
+      o_row[j] = acc;
+    }
+  }
+}
+
+// Gaussian entries with zeros (a tenth, as after a ReLU), -0, NaN, ±Inf and
+// denormals planted at random positions.
+std::vector<float> PlantedOperand(size_t size, Rng& rng) {
+  // The NaN this CPU's arithmetic produces (Inf - Inf): with every NaN
+  // sharing its bits, memcmp does not depend on which NaN operand an add
+  // happens to propagate.
+  volatile float inf = std::numeric_limits<float>::infinity();
+  const float nan = inf - inf;
+  const float specials[] = {nan,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -3e-39f,
+                            1e-40f};
+  std::vector<float> out(size);  // exact size: ASan sees any over-read
+  for (float& v : out) {
+    const size_t draw = rng.NextIndex(1000);
+    if (draw < 100) {
+      v = 0.0f;
+    } else if (draw < 107) {
+      v = specials[draw - 100];
+    } else {
+      v = static_cast<float>(rng.NextGaussian());
+    }
+  }
+  return out;
+}
+
+TEST(MatrixTest, DenseProductsMatchScalarReference) {
+  const std::vector<DenseKernel> kernels = AvailableDenseKernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels.back().name, "scalar");
+  Rng rng(21);
+  for (size_t m : {1, 3, 17, 4096}) {
+    for (size_t n : {1, 15, 16, 17, 64, 128, 130}) {
+      for (size_t k : {1, 64, 129}) {
+        // One A and one B serve all three layouts: each holds m*k and n*k
+        // entries, read as m x k / k x m and k x n / n x k.
+        const std::vector<float> a = PlantedOperand(m * k, rng);
+        const std::vector<float> b = PlantedOperand(n * k, rng);
+        const struct {
+          ProductLayout layout;
+          void (*reference)(const float*, const float*, size_t, size_t,
+                            size_t, float*);
+        } cases[] = {{ProductLayout::kAB, &ReferenceMatMul},
+                     {ProductLayout::kAtB, &ReferenceTransposedMatMul},
+                     {ProductLayout::kABt, &ReferenceMatMulTransposed}};
+        for (const auto& c : cases) {
+          std::vector<float> want(m * n);
+          c.reference(a.data(), b.data(), m, n, k, want.data());
+          for (const DenseKernel& kernel : kernels) {
+            std::vector<float> got(m * n, 1.0f);
+            kernel.fn(c.layout, a.data(), b.data(), m, n, k, got.data());
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  want.size() * sizeof(float)),
+                      0)
+                << kernel.name << " layout " << static_cast<int>(c.layout)
+                << " m=" << m << " n=" << n << " k=" << k;
+          }
+        }
+      }
     }
   }
 }
