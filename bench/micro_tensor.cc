@@ -122,18 +122,24 @@ void BM_DsqEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_DsqEncode)->Arg(1024)->Arg(8192);
 
+// Args: points, clusters, iterations. The second shape is the IVF coarse
+// quantizer's build in bench/e2e's online workloads.
 void BM_KMeans(benchmark::State& state) {
   Rng rng(6);
-  Matrix points = Matrix::RandomGaussian(2000, 64, rng);
+  Matrix points =
+      Matrix::RandomGaussian(static_cast<size_t>(state.range(0)), 64, rng);
   for (auto _ : state) {
     clustering::KMeansOptions opts;
-    opts.num_clusters = 64;
-    opts.max_iterations = 10;
+    opts.num_clusters = static_cast<size_t>(state.range(1));
+    opts.max_iterations = static_cast<int>(state.range(2));
     auto result = clustering::KMeans(points, opts);
     benchmark::DoNotOptimize(result.inertia);
   }
 }
-BENCHMARK(BM_KMeans);
+BENCHMARK(BM_KMeans)
+    ->Args({2000, 64, 10})
+    ->Args({20000, 32, 20})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace lightlt

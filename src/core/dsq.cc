@@ -1,5 +1,6 @@
 #include "src/core/dsq.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/util/check.h"
@@ -165,24 +166,34 @@ void DsqModule::Encode(const Matrix& input,
   LIGHTLT_CHECK_EQ(input.cols(), config_.dim);
   const std::vector<Matrix> codebooks = EffectiveCodebooks();
   const size_t n = input.rows();
+  const size_t dim = config_.dim;
 
   codes->assign(n, std::vector<uint32_t>(config_.num_codebooks));
-  Matrix residual = input;
-  for (size_t m = 0; m < config_.num_codebooks; ++m) {
-    const Matrix d2 = residual.SquaredEuclideanTo(codebooks[m]);
-    for (size_t i = 0; i < n; ++i) {
-      const float* row = d2.row(i);
-      size_t best = 0;
-      for (size_t j = 1; j < config_.num_codewords; ++j) {
-        if (row[j] < row[best]) best = j;
+  // A chunk's residual and distances stay cache-resident and are reused by
+  // the next chunk; only the last, shorter chunk reallocates them.
+  Matrix residual;
+  Matrix d2;
+  for (size_t begin = 0; begin < n; begin += kEncodeChunkRows) {
+    const size_t rows = std::min(kEncodeChunkRows, n - begin);
+    if (residual.rows() != rows) residual = Matrix(rows, dim);
+    std::copy(input.row(begin), input.row(begin) + rows * dim,
+              residual.data());
+    for (size_t m = 0; m < config_.num_codebooks; ++m) {
+      residual.SquaredEuclideanTo(codebooks[m], &d2);
+      for (size_t i = 0; i < rows; ++i) {
+        const float* row = d2.row(i);
+        size_t best = 0;
+        for (size_t j = 1; j < config_.num_codewords; ++j) {
+          if (row[j] < row[best]) best = j;
+        }
+        (*codes)[begin + i][m] = static_cast<uint32_t>(best);
       }
-      (*codes)[i][m] = static_cast<uint32_t>(best);
-    }
-    if (config_.residual_skip && m + 1 < config_.num_codebooks) {
-      for (size_t i = 0; i < n; ++i) {
-        const float* word = codebooks[m].row((*codes)[i][m]);
-        float* r = residual.row(i);
-        for (size_t j = 0; j < config_.dim; ++j) r[j] -= word[j];
+      if (config_.residual_skip && m + 1 < config_.num_codebooks) {
+        for (size_t i = 0; i < rows; ++i) {
+          const float* word = codebooks[m].row((*codes)[begin + i][m]);
+          float* r = residual.row(i);
+          for (size_t j = 0; j < dim; ++j) r[j] -= word[j];
+        }
       }
     }
   }

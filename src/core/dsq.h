@@ -72,9 +72,11 @@ class DsqModule : public nn::Module {
   ForwardResult Forward(const Var& input, Rng* gumbel_rng = nullptr) const;
 
   /// Inference-only encoding (no autograd graph): hard argmax per stage on
-  /// the residual, exactly Eqns. 2-4.
+  /// the residual, exactly Eqns. 2-4. Rows are independent, so they are
+  /// encoded kEncodeChunkRows at a time through reused buffers.
   void Encode(const Matrix& input,
               std::vector<std::vector<uint32_t>>* codes) const;
+  static constexpr size_t kEncodeChunkRows = 4096;
 
   /// Reconstructs inputs from hard codes using the effective codebooks.
   Matrix Decode(const std::vector<std::vector<uint32_t>>& codes) const;

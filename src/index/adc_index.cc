@@ -155,11 +155,37 @@ void AdcIndex::ComputeScores(const float* query,
   const std::vector<float> lut = BuildLookupTables(query);
   obs::ProfilePhase scan_phase("adc_scan");
   scores->resize(num_items());
+  const size_t m = codebooks_.size();
+  const size_t k = num_codewords();
+  constexpr size_t kLanes = kernels::kBlockItems;
   for (const SlotRange& range : AllRanges()) {
-    const size_t base = range.first_block * kernels::kBlockItems;
-    for (size_t slot = range.begin; slot < range.end; ++slot) {
-      (*scores)[StoredId(slot)] =
-          ExactScore(lut.data(), slot, base + (slot - range.begin));
+    const size_t base = range.first_block * kLanes;
+    if (blocked_.empty()) {
+      for (size_t slot = range.begin; slot < range.end; ++slot) {
+        (*scores)[StoredId(slot)] =
+            ExactScore(lut.data(), slot, base + (slot - range.begin));
+      }
+      continue;
+    }
+    // Block by block: every lane sums its M table entries in codebook
+    // order from 0.0f and scores norm - 2·dot, ExactScore's arithmetic.
+    // Tail lanes past the range score code 0 and are dropped.
+    for (size_t slot = range.begin; slot < range.end; slot += kLanes) {
+      const uint8_t* block =
+          blocked_.data() + BlockedOffset(base + (slot - range.begin), 0);
+      float dots[kLanes] = {};
+      for (size_t cb = 0; cb < m; ++cb) {
+        const float* column = lut.data() + cb * k;
+        const uint8_t* codes = block + cb * kLanes;
+        for (size_t lane = 0; lane < kLanes; ++lane) {
+          dots[lane] += column[codes[lane]];
+        }
+      }
+      const size_t count = std::min(kLanes, range.end - slot);
+      for (size_t lane = 0; lane < count; ++lane) {
+        (*scores)[StoredId(slot + lane)] =
+            norms_[slot + lane] - 2.0f * dots[lane];
+      }
     }
   }
 }

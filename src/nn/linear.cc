@@ -1,8 +1,6 @@
 #include "src/nn/linear.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstdint>
 
 #include "src/nn/init.h"
 #include "src/tensor/dense_product.h"
@@ -22,18 +20,6 @@ Var Linear::Forward(const Var& x) const {
   return ops::AddRowBroadcast(ops::MatMul(x, weight_), bias_);
 }
 
-namespace {
-
-// ops::Relu's result (v > 0 ? v : +0, so NaN and -0 give +0) without a
-// branch: hidden pre-activations are positive about half the time, and a
-// branch on their sign mispredicts on every other element.
-float Relu(float v) {
-  const uint32_t keep = 0u - static_cast<uint32_t>(v > 0.0f);
-  return std::bit_cast<float>(std::bit_cast<uint32_t>(v) & keep);
-}
-
-}  // namespace
-
 void Linear::Infer(const float* x, size_t rows, float* out, bool relu) const {
   DenseProduct(ProductLayout::kAB, x, weight_->value().data(), rows,
                out_features_, in_features_, out);
@@ -41,7 +27,7 @@ void Linear::Infer(const float* x, size_t rows, float* out, bool relu) const {
   for (size_t i = 0; i < rows; ++i) {
     float* r = out + i * out_features_;
     if (relu) {
-      for (size_t j = 0; j < out_features_; ++j) r[j] = Relu(r[j] + bias[j]);
+      for (size_t j = 0; j < out_features_; ++j) r[j] = ops::ReluValue(r[j] + bias[j]);
     } else {
       for (size_t j = 0; j < out_features_; ++j) r[j] += bias[j];
     }

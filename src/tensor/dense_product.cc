@@ -1,6 +1,8 @@
 #include "src/tensor/dense_product.h"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 
 #include "src/tensor/dense_product_isa.h"
 
@@ -55,42 +57,96 @@ void DenseProductScalar(ProductLayout layout, const float* a, const float* b,
   }
 }
 
+// The reference: the loop k-means assignment ran before the SIMD variants
+// existed (2.0f * p[t] * c[t] parses as (2.0f * p[t]) * c[t]).
+void NearestCentroidScalar(const float* points, size_t n,
+                           const float* centroids, const float* norms,
+                           size_t k, size_t d, uint32_t* out) {
+  for (size_t i = 0; i < n; ++i) {
+    const float* p = points + i * d;
+    float best = std::numeric_limits<float>::max();
+    uint32_t best_j = 0;
+    for (size_t j = 0; j < k; ++j) {
+      const float* c = centroids + j * d;
+      float score = norms[j];
+      for (size_t t = 0; t < d; ++t) score -= 2.0f * p[t] * c[t];
+      if (score < best) {
+        best = score;
+        best_j = static_cast<uint32_t>(j);
+      }
+    }
+    out[i] = best_j;
+  }
+}
+
 bool ScalarSupported() { return true; }
 
 struct Family {
   const char* name;
   bool (*supported)();
   DenseProductFn fn;
+  NearestCentroidFn nearest;
 };
 
 // Preference order: widest vectors first, scalar last.
 constexpr Family kFamilies[] = {
-    {"avx512", &detail::DenseAvx512Supported, &detail::DenseProductAvx512},
-    {"avx2", &detail::DenseAvx2Supported, &detail::DenseProductAvx2},
-    {"scalar", &ScalarSupported, &DenseProductScalar},
+    {"avx512", &detail::DenseAvx512Supported, &detail::DenseProductAvx512,
+     &detail::NearestCentroidAvx512},
+    {"avx2", &detail::DenseAvx2Supported, &detail::DenseProductAvx2,
+     &detail::NearestCentroidAvx2},
+    {"scalar", &ScalarSupported, &DenseProductScalar, &NearestCentroidScalar},
 };
 
-DenseProductFn SelectDenseProduct() {
-  for (const Family& f : kFamilies) {
-    if (f.supported()) return f.fn;
-  }
-  return &DenseProductScalar;
+const Family& SelectedFamily() {
+  static const Family& selected = []() -> const Family& {
+    for (const Family& f : kFamilies) {
+      if (f.supported()) return f;
+    }
+    return kFamilies[std::size(kFamilies) - 1];
+  }();
+  return selected;
 }
 
 }  // namespace
 
+namespace detail {
+
+CentroidPanel PackCentroids(const float* centroids, const float* norms,
+                            size_t k, size_t d, size_t lanes) {
+  CentroidPanel panel;
+  panel.blocks = (k + lanes - 1) / lanes;
+  panel.values.assign(panel.blocks * d * lanes, 0.0f);
+  panel.norms.assign(panel.blocks * lanes,
+                     std::numeric_limits<float>::quiet_NaN());
+  for (size_t j = 0; j < k; ++j) {
+    const size_t block = j / lanes;
+    const size_t lane = j % lanes;
+    for (size_t t = 0; t < d; ++t) {
+      panel.values[(block * d + t) * lanes + lane] = centroids[j * d + t];
+    }
+    panel.norms[j] = norms[j];
+  }
+  return panel;
+}
+
+}  // namespace detail
+
 std::vector<DenseKernel> AvailableDenseKernels() {
   std::vector<DenseKernel> out;
   for (const Family& f : kFamilies) {
-    if (f.supported()) out.push_back({f.name, f.fn});
+    if (f.supported()) out.push_back({f.name, f.fn, f.nearest});
   }
   return out;
 }
 
 void DenseProduct(ProductLayout layout, const float* a, const float* b,
                   size_t m, size_t n, size_t k, float* c) {
-  static const DenseProductFn selected = SelectDenseProduct();
-  selected(layout, a, b, m, n, k, c);
+  SelectedFamily().fn(layout, a, b, m, n, k, c);
+}
+
+void NearestCentroid(const float* points, size_t n, const float* centroids,
+                     const float* norms, size_t k, size_t d, uint32_t* out) {
+  SelectedFamily().nearest(points, n, centroids, norms, k, d, out);
 }
 
 }  // namespace lightlt

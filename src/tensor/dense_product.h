@@ -1,7 +1,7 @@
 // The one dense float product kernel behind Matrix::MatMul,
 // Matrix::TransposedMatMul and Matrix::MatMulTransposed, and through them
-// training, embedding, DSQ encoding, the ADC lookup tables and IVF routing
-// (DESIGN.md §17).
+// training, embedding, DSQ encoding, the ADC lookup tables and IVF routing,
+// plus the nearest-centroid kernel behind k-means assignment (DESIGN.md §17).
 //
 // Every output has one fixed arithmetic: c_ij starts at 0.0f and adds the
 // rounded product A(i,t)·B(t,j) for t = 0, 1, ..., k-1 in that order, each
@@ -14,6 +14,7 @@
 #define LIGHTLT_TENSOR_DENSE_PRODUCT_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace lightlt {
@@ -37,9 +38,21 @@ using DenseProductFn = void (*)(ProductLayout layout, const float* a,
                                 const float* b, size_t m, size_t n, size_t k,
                                 float* c);
 
+/// For each of the n rows p of `points` (n x d), the index of the nearest
+/// of the k rows c of `centroids` (k x d) under one fixed arithmetic: the
+/// score of centroid j starts at norms[j] (its squared norm) and runs
+/// s -= (2.0f * p[t]) * c[t] for t = 0, 1, ..., d-1, every product and
+/// subtraction rounded on its own; the argmin walks j in index order with a
+/// strict < from FLT_MAX. So a NaN score never wins, ties go to the lowest
+/// index, and a row with no score below FLT_MAX gets 0.
+using NearestCentroidFn = void (*)(const float* points, size_t n,
+                                   const float* centroids, const float* norms,
+                                   size_t k, size_t d, uint32_t* out);
+
 struct DenseKernel {
   const char* name;
   DenseProductFn fn;
+  NearestCentroidFn nearest;
 };
 
 /// The variants this CPU can run, widest vectors first; the last one is
@@ -49,6 +62,10 @@ std::vector<DenseKernel> AvailableDenseKernels();
 /// C = op(A)·op(B) on the widest available variant, chosen once per process.
 void DenseProduct(ProductLayout layout, const float* a, const float* b,
                   size_t m, size_t n, size_t k, float* c);
+
+/// Nearest centroid per point on the same variant DenseProduct uses.
+void NearestCentroid(const float* points, size_t n, const float* centroids,
+                     const float* norms, size_t k, size_t d, uint32_t* out);
 
 }  // namespace lightlt
 

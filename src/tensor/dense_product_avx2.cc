@@ -1,6 +1,7 @@
-// AVX2 dense products: the AVX-512 routines' structure at 8 lanes, with
-// sign-bit lane masks (vmaskmov) instead of mask registers. Built without
-// FMA. Runtime-dispatched; stubs on non-x86.
+// AVX2 dense products and nearest centroids: the AVX-512 routines'
+// structure at 8 lanes, with sign-bit lane masks (vmaskmov, blendv) instead
+// of mask registers. Built without FMA. Runtime-dispatched; stubs on
+// non-x86.
 
 #include "src/tensor/dense_product_isa.h"
 
@@ -8,6 +9,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <limits>
 
 namespace lightlt::detail {
 namespace {
@@ -199,6 +201,101 @@ LIGHTLT_AVX2_TARGET void TransposedProduct(const float* a, const float* b,
   }
 }
 
+// Points per nearest-centroid tile, and most 8-centroid blocks per pass.
+constexpr size_t kNearestRows = 4;
+constexpr size_t kNearestBlocks = 2;
+
+// The AVX-512 NearestTile at 8 lanes.
+template <size_t V>
+LIGHTLT_AVX2_TARGET inline void NearestTile(
+    const float* twice, size_t d, const CentroidPanel& panel, size_t block,
+    __m256 (&best)[kNearestRows], __m256i (&best_j)[kNearestRows]) {
+  constexpr size_t R = kNearestRows;
+  __m256 acc[R][V];
+#pragma GCC unroll 2
+  for (size_t v = 0; v < V; ++v) {
+    const __m256 norm = _mm256_loadu_ps(&panel.norms[(block + v) * kLanes]);
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) acc[r][v] = norm;
+  }
+  const float* col = panel.values.data() + block * d * kLanes;
+  for (size_t t = 0; t < d; ++t) {
+    __m256 cv[V];
+#pragma GCC unroll 2
+    for (size_t v = 0; v < V; ++v) {
+      cv[v] = _mm256_loadu_ps(col + (v * d + t) * kLanes);
+    }
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) {
+      const __m256 pv = _mm256_set1_ps(twice[r * d + t]);
+#pragma GCC unroll 2
+      for (size_t v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_sub_ps(acc[r][v], _mm256_mul_ps(pv, cv[v]));
+      }
+    }
+  }
+  const __m256i lane_ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+#pragma GCC unroll 2
+  for (size_t v = 0; v < V; ++v) {
+    const __m256i ids = _mm256_add_epi32(
+        lane_ids, _mm256_set1_epi32(static_cast<int>((block + v) * kLanes)));
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) {
+      const __m256 better = _mm256_cmp_ps(acc[r][v], best[r], _CMP_LT_OQ);
+      best[r] = _mm256_blendv_ps(best[r], acc[r][v], better);
+      best_j[r] = _mm256_blendv_epi8(best_j[r], ids,
+                                     _mm256_castps_si256(better));
+    }
+  }
+}
+
+// The AVX-512 ArgminLanes: smallest best across lanes, then the lowest
+// index among the lanes that hold it.
+LIGHTLT_AVX2_TARGET inline uint32_t ArgminLanes(__m256 best, __m256i best_j) {
+  __m256 low = _mm256_min_ps(best, _mm256_permute2f128_ps(best, best, 1));
+  low = _mm256_min_ps(low, _mm256_permute_ps(low, _MM_SHUFFLE(1, 0, 3, 2)));
+  low = _mm256_min_ps(low, _mm256_permute_ps(low, _MM_SHUFFLE(2, 3, 0, 1)));
+  const __m256i at = _mm256_castps_si256(_mm256_cmp_ps(best, low, _CMP_EQ_OQ));
+  __m256i j = _mm256_blendv_epi8(_mm256_set1_epi32(-1), best_j, at);
+  j = _mm256_min_epu32(j, _mm256_permute2x128_si256(j, j, 1));
+  j = _mm256_min_epu32(j, _mm256_shuffle_epi32(j, _MM_SHUFFLE(1, 0, 3, 2)));
+  j = _mm256_min_epu32(j, _mm256_shuffle_epi32(j, _MM_SHUFFLE(2, 3, 0, 1)));
+  return static_cast<uint32_t>(_mm256_cvtsi256_si32(j));
+}
+
+LIGHTLT_AVX2_TARGET void NearestRows(const float* points, size_t n,
+                                     const CentroidPanel& panel, size_t d,
+                                     uint32_t* out) {
+  constexpr size_t R = kNearestRows;
+  std::vector<float> twice(R * d, 0.0f);
+  for (size_t i = 0; i < n; i += R) {
+    const size_t rows = std::min(R, n - i);
+    // In the last tile, rows past n keep the previous tile's points; their
+    // results are never stored.
+    for (size_t r = 0; r < rows; ++r) {
+      const float* p = points + (i + r) * d;
+      for (size_t t = 0; t < d; ++t) twice[r * d + t] = 2.0f * p[t];
+    }
+    __m256 best[R];
+    __m256i best_j[R];
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) {
+      best[r] = _mm256_set1_ps(std::numeric_limits<float>::max());
+      best_j[r] = _mm256_setzero_si256();
+    }
+    for (size_t b = 0; b < panel.blocks; b += kNearestBlocks) {
+      if (panel.blocks - b >= kNearestBlocks) {
+        NearestTile<2>(twice.data(), d, panel, b, best, best_j);
+      } else {
+        NearestTile<1>(twice.data(), d, panel, b, best, best_j);
+      }
+    }
+    for (size_t r = 0; r < rows; ++r) {
+      out[i + r] = ArgminLanes(best[r], best_j[r]);
+    }
+  }
+}
+
 #undef LIGHTLT_AVX2_TARGET
 
 }  // namespace
@@ -221,6 +318,13 @@ void DenseProductAvx2(ProductLayout layout, const float* a, const float* b,
   }
 }
 
+void NearestCentroidAvx2(const float* points, size_t n,
+                         const float* centroids, const float* norms, size_t k,
+                         size_t d, uint32_t* out) {
+  NearestRows(points, n, PackCentroids(centroids, norms, k, d, kLanes), d,
+              out);
+}
+
 }  // namespace lightlt::detail
 
 #else  // non-x86
@@ -229,6 +333,8 @@ namespace lightlt::detail {
 bool DenseAvx2Supported() { return false; }
 void DenseProductAvx2(ProductLayout, const float*, const float*, size_t,
                       size_t, size_t, float*) {}
+void NearestCentroidAvx2(const float*, size_t, const float*, const float*,
+                         size_t, size_t, uint32_t*) {}
 }  // namespace lightlt::detail
 
 #endif

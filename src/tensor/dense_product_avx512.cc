@@ -1,6 +1,7 @@
 // AVX-512F dense products: one output column per lane, 16 per vector.
 // kAB and kAtB broadcast A(i,t) against a row of B; kABt transposes 16x16
-// tiles of B in registers, so no packed copy of B is ever stored.
+// tiles of B in registers, so no packed copy of B is ever stored. The
+// nearest-centroid kernel puts one centroid per lane.
 // Runtime-dispatched; stubs on non-x86.
 
 #include "src/tensor/dense_product_isa.h"
@@ -9,6 +10,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <limits>
 
 // GCC's avx512 intrinsic headers self-initialize undefined vectors with the
 // "__Y = __Y" idiom, which -Wmaybe-uninitialized flags from any inlined use
@@ -218,6 +220,104 @@ LIGHTLT_AVX512_TARGET void TransposedProduct(const float* a, const float* b,
   }
 }
 
+// Points per nearest-centroid tile, and most 16-centroid blocks per pass.
+constexpr size_t kNearestRows = 4;
+constexpr size_t kNearestBlocks = 4;
+
+// The kNearestRows doubled points in `twice` (row r at r * d) against V
+// panel blocks from `block` on. Each lane runs the scalar chain
+// s = norm; s -= (2p[t])·c[t], then a strict, NaN-false < against the row's
+// running per-lane best; blocks are taken in index order, so every lane
+// keeps the lowest index of its minimum.
+template <size_t V>
+LIGHTLT_AVX512_TARGET inline void NearestTile(
+    const float* twice, size_t d, const CentroidPanel& panel, size_t block,
+    __m512 (&best)[kNearestRows], __m512i (&best_j)[kNearestRows]) {
+  constexpr size_t R = kNearestRows;
+  __m512 acc[R][V];
+#pragma GCC unroll 4
+  for (size_t v = 0; v < V; ++v) {
+    const __m512 norm = _mm512_loadu_ps(&panel.norms[(block + v) * kLanes]);
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) acc[r][v] = norm;
+  }
+  const float* col = panel.values.data() + block * d * kLanes;
+  for (size_t t = 0; t < d; ++t) {
+    __m512 cv[V];
+#pragma GCC unroll 4
+    for (size_t v = 0; v < V; ++v) {
+      cv[v] = _mm512_loadu_ps(col + (v * d + t) * kLanes);
+    }
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) {
+      const __m512 pv = _mm512_set1_ps(twice[r * d + t]);
+#pragma GCC unroll 4
+      for (size_t v = 0; v < V; ++v) {
+        acc[r][v] = _mm512_sub_ps(acc[r][v], _mm512_mul_ps(pv, cv[v]));
+      }
+    }
+  }
+  const __m512i lane_ids = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                             10, 11, 12, 13, 14, 15);
+#pragma GCC unroll 4
+  for (size_t v = 0; v < V; ++v) {
+    const __m512i ids = _mm512_add_epi32(
+        lane_ids, _mm512_set1_epi32(static_cast<int>((block + v) * kLanes)));
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) {
+      const __mmask16 better =
+          _mm512_cmp_ps_mask(acc[r][v], best[r], _CMP_LT_OQ);
+      best[r] = _mm512_mask_mov_ps(best[r], better, acc[r][v]);
+      best_j[r] = _mm512_mask_mov_epi32(best_j[r], better, ids);
+    }
+  }
+}
+
+// The lowest index among the lanes holding the smallest best. Lanes that
+// never improved hold FLT_MAX and index 0, so a row with no score below
+// FLT_MAX gets 0, as in the scalar loop.
+LIGHTLT_AVX512_TARGET inline uint32_t ArgminLanes(__m512 best,
+                                                  __m512i best_j) {
+  const float low = _mm512_reduce_min_ps(best);
+  const __mmask16 at =
+      _mm512_cmp_ps_mask(best, _mm512_set1_ps(low), _CMP_EQ_OQ);
+  return _mm512_mask_reduce_min_epu32(at, best_j);
+}
+
+LIGHTLT_AVX512_TARGET void NearestRows(const float* points, size_t n,
+                                       const CentroidPanel& panel, size_t d,
+                                       uint32_t* out) {
+  constexpr size_t R = kNearestRows;
+  std::vector<float> twice(R * d, 0.0f);
+  for (size_t i = 0; i < n; i += R) {
+    const size_t rows = std::min(R, n - i);
+    // In the last tile, rows past n keep the previous tile's points; their
+    // results are never stored.
+    for (size_t r = 0; r < rows; ++r) {
+      const float* p = points + (i + r) * d;
+      for (size_t t = 0; t < d; ++t) twice[r * d + t] = 2.0f * p[t];
+    }
+    __m512 best[R];
+    __m512i best_j[R];
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) {
+      best[r] = _mm512_set1_ps(std::numeric_limits<float>::max());
+      best_j[r] = _mm512_setzero_si512();
+    }
+    for (size_t b = 0; b < panel.blocks; b += kNearestBlocks) {
+      switch (std::min(kNearestBlocks, panel.blocks - b)) {
+        case 4: NearestTile<4>(twice.data(), d, panel, b, best, best_j); break;
+        case 3: NearestTile<3>(twice.data(), d, panel, b, best, best_j); break;
+        case 2: NearestTile<2>(twice.data(), d, panel, b, best, best_j); break;
+        default: NearestTile<1>(twice.data(), d, panel, b, best, best_j);
+      }
+    }
+    for (size_t r = 0; r < rows; ++r) {
+      out[i + r] = ArgminLanes(best[r], best_j[r]);
+    }
+  }
+}
+
 #undef LIGHTLT_AVX512_TARGET
 
 }  // namespace
@@ -240,6 +340,13 @@ void DenseProductAvx512(ProductLayout layout, const float* a, const float* b,
   }
 }
 
+void NearestCentroidAvx512(const float* points, size_t n,
+                           const float* centroids, const float* norms,
+                           size_t k, size_t d, uint32_t* out) {
+  NearestRows(points, n, PackCentroids(centroids, norms, k, d, kLanes), d,
+              out);
+}
+
 }  // namespace lightlt::detail
 
 #else  // non-x86
@@ -248,6 +355,8 @@ namespace lightlt::detail {
 bool DenseAvx512Supported() { return false; }
 void DenseProductAvx512(ProductLayout, const float*, const float*, size_t,
                         size_t, size_t, float*) {}
+void NearestCentroidAvx512(const float*, size_t, const float*, const float*,
+                           size_t, size_t, uint32_t*) {}
 }  // namespace lightlt::detail
 
 #endif

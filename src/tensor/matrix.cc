@@ -210,18 +210,27 @@ Matrix Matrix::VStack(const Matrix& other) const {
 }
 
 Matrix Matrix::SquaredEuclideanTo(const Matrix& other) const {
+  Matrix out;
+  SquaredEuclideanTo(other, &out);
+  return out;
+}
+
+void Matrix::SquaredEuclideanTo(const Matrix& other, Matrix* out) const {
   LIGHTLT_CHECK_EQ(cols_, other.cols_);
+  if (out->rows() != rows_ || out->cols() != other.rows_) {
+    *out = Matrix(rows_, other.rows_);
+  }
   // ||a - b||^2 = ||a||^2 + ||b||^2 - 2 <a, b>
-  Matrix dots = MatMulTransposed(other);  // n x m
+  DenseProduct(ProductLayout::kABt, data(), other.data(), rows_, other.rows_,
+               cols_, out->data());
   const Matrix a2 = RowSquaredNorms();
   const Matrix b2 = other.RowSquaredNorms();
   for (size_t i = 0; i < rows_; ++i) {
-    float* r = dots.row(i);
+    float* r = out->row(i);
     for (size_t j = 0; j < other.rows(); ++j) {
       r[j] = std::max(0.0f, a2[i] + b2[j] - 2.0f * r[j]);
     }
   }
-  return dots;
 }
 
 bool Matrix::AllClose(const Matrix& other, float atol) const {

@@ -119,6 +119,8 @@ class Matrix {
   /// Pairwise squared Euclidean distances between rows of this (n x d) and
   /// rows of other (m x d) -> (n x m).
   Matrix SquaredEuclideanTo(const Matrix& other) const;
+  /// The same into *out, reusing its storage when it is already n x m.
+  void SquaredEuclideanTo(const Matrix& other, Matrix* out) const;
 
   /// Dense equality within tolerance, for tests.
   bool AllClose(const Matrix& other, float atol = 1e-5f) const;

@@ -148,12 +148,15 @@ Var Abs(const Var& x) {
 
 Var Relu(const Var& x) {
   Matrix v = x->value();
-  for (size_t i = 0; i < v.size(); ++i) v[i] = v[i] > 0.0f ? v[i] : 0.0f;
+  for (size_t i = 0; i < v.size(); ++i) v[i] = ReluValue(v[i]);
   return MakeOp(std::move(v), {x}, "relu", [](Node& n) {
     Matrix g = n.grad();
     const Matrix& in = n.parents()[0]->value();
+    // g is zeroed (+0) where in <= 0 and kept elsewhere, NaN inputs
+    // included, without a branch.
     for (size_t i = 0; i < g.size(); ++i) {
-      if (in[i] <= 0.0f) g[i] = 0.0f;
+      const uint32_t keep = 0u - static_cast<uint32_t>(!(in[i] <= 0.0f));
+      g[i] = std::bit_cast<float>(std::bit_cast<uint32_t>(g[i]) & keep);
     }
     n.parents()[0]->AccumulateGrad(g);
   });

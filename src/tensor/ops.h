@@ -7,7 +7,9 @@
 #ifndef LIGHTLT_TENSOR_OPS_H_
 #define LIGHTLT_TENSOR_OPS_H_
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/tensor/variable.h"
@@ -47,6 +49,13 @@ Var Abs(const Var& x);
 
 /// max(x, 0).
 Var Relu(const Var& x);
+/// One element of Relu: v > 0 ? v : +0, so NaN and -0 give +0. Branch-free:
+/// hidden pre-activations are positive about half the time, and a branch on
+/// their sign mispredicts on every other element.
+inline float ReluValue(float v) {
+  const uint32_t keep = 0u - static_cast<uint32_t>(v > 0.0f);
+  return std::bit_cast<float>(std::bit_cast<uint32_t>(v) & keep);
+}
 /// tanh(x) (used by the hash baselines' binarization relaxations).
 Var Tanh(const Var& x);
 /// Row-wise softmax of (x / temperature) — paper Eqn. 5.

@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "src/clustering/kmeans.h"
 #include "src/clustering/linalg.h"
 #include "src/clustering/pca.h"
+#include "src/tensor/dense_product.h"
 #include "src/util/rng.h"
+#include "src/util/threadpool.h"
+#include "tests/reference_kmeans.h"
 
 namespace lightlt {
 namespace {
@@ -169,6 +175,182 @@ TEST(KMeansTest, AssignToNearestIsExact) {
     float best = d2.at(i, assigned[i]);
     for (size_t j = 0; j < 7; ++j) {
       EXPECT_GE(d2.at(i, j) + 1e-4f, best);
+    }
+  }
+}
+
+// Gaussian entries with zeros (a twentieth), -0 and denormals, plus a few
+// NaN and ±Inf entries planted at random positions. Exact size, so ASan
+// sees any over-read.
+std::vector<float> PlantedEntries(size_t size, Rng& rng) {
+  const float specials[] = {-0.0f, std::numeric_limits<float>::denorm_min(),
+                            -3e-39f, 1e-40f};
+  std::vector<float> out(size);
+  for (float& v : out) {
+    const size_t draw = rng.NextIndex(1000);
+    if (draw < 50) {
+      v = 0.0f;
+    } else if (draw < 54) {
+      v = specials[draw - 50];
+    } else {
+      v = static_cast<float>(rng.NextGaussian());
+    }
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  const float wild[] = {std::numeric_limits<float>::quiet_NaN(), inf, -inf};
+  for (const float w : wild) out[rng.NextIndex(size)] = w;
+  return out;
+}
+
+// Every nearest-centroid variant this host dispatches returns the
+// assignments of the serial loop, on ragged k and d, planted specials and
+// exact score ties.
+TEST(KMeansTest, NearestCentroidVariantsMatchScalarReference) {
+  const std::vector<DenseKernel> kernels = AvailableDenseKernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels.back().name, "scalar");
+  const float kMax = std::numeric_limits<float>::max();
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const float kInf = std::numeric_limits<float>::infinity();
+  Rng rng(31);
+  for (size_t k : {1, 15, 16, 17, 32, 64, 256}) {
+    for (size_t d : {1, 63, 64, 65}) {
+      for (size_t n : {1, 7, 64}) {
+        std::vector<float> points = PlantedEntries(n * d, rng);
+        std::vector<float> centroids = PlantedEntries(k * d, rng);
+        // A duplicated centroid scores the same bits as its original, in
+        // another lane and, past 16, another block; the lower index wins.
+        if (k > 2) {
+          std::copy(centroids.begin(), centroids.begin() + d,
+                    centroids.end() - d);
+          std::copy(centroids.begin() + d, centroids.begin() + 2 * d,
+                    centroids.begin() + (k / 2) * d);
+        }
+        // An all-zero point scores each finite centroid at its norm.
+        if (n > 2) std::fill(points.begin() + d, points.begin() + 2 * d, 0.0f);
+        const Matrix c(k, d, centroids);
+        const Matrix c_norms = c.RowSquaredNorms();
+        std::vector<float> norms(c_norms.data(), c_norms.data() + k);
+        // Norm ties (including -0 against +0), a NaN, an Inf and FLT_MAX.
+        if (k > 5) {
+          norms[2] = -0.0f;
+          norms[3] = 0.0f;
+          norms[4] = kNaN;
+          norms[5] = norms[k - 2];
+          norms[k - 3] = kInf;
+          norms[k / 3] = kMax;
+        }
+        struct Case {
+          const char* what;
+          std::vector<float> norms;
+        };
+        const Case cases[] = {
+            {"planted", norms},
+            {"all NaN", std::vector<float>(k, kNaN)},
+            {"all FLT_MAX", std::vector<float>(k, kMax)},
+        };
+        for (const Case& cs : cases) {
+          std::vector<uint32_t> want(n);
+          testing_ref::ReferenceNearest(points.data(), n, centroids.data(),
+                                        cs.norms.data(), k, d, want.data());
+          for (const DenseKernel& kernel : kernels) {
+            std::vector<uint32_t> got(n, 0xDEADBEEF);
+            kernel.nearest(points.data(), n, centroids.data(),
+                           cs.norms.data(), k, d, got.data());
+            EXPECT_EQ(got, want) << kernel.name << " " << cs.what
+                                 << " k=" << k << " d=" << d << " n=" << n;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Scores that tie exactly when every product and subtraction rounds on its
+// own, but not under a fused multiply-subtract. With q = 2·p[0] and a'
+// the float after a, q·a and q·a' round to the same n, so a centroid at a
+// and one at a', both of norm n, score exactly 0 (all other coordinates of
+// p are 0): the lower index wins. Fused, they score the exact residues
+// n - q·a > n - q·a', and the higher index would win.
+TEST(KMeansTest, NearestCentroidTiesSurviveOnlyUnfusedRounding) {
+  const std::vector<DenseKernel> kernels = AvailableDenseKernels();
+  Rng rng(33);
+  for (size_t k : {2, 16, 17, 32, 256}) {
+    for (size_t d : {1, 64, 65}) {
+      float q = 0.0f, a = 0.0f, a_next = 0.0f, n = 0.0f;
+      do {
+        q = 2.0f * (0.5f + 0.5f * static_cast<float>(rng.NextDouble()));
+        a = 0.5f + 0.5f * static_cast<float>(rng.NextDouble());
+        a_next = std::nextafter(a, 2.0f);
+        n = q * a;
+      } while (q * a_next != n ||
+               !(std::fma(-q, a_next, n) < std::fma(-q, a, n)));
+      Matrix centroids = Matrix::RandomGaussian(k, d, rng);
+      std::vector<float> norms(k, 1e30f);
+      const size_t lo = (k - 1) / 2, hi = k - 1;
+      for (size_t t = 0; t < d; ++t) {
+        centroids.at(lo, t) = centroids.at(hi, t) = 1.0f;
+      }
+      centroids.at(lo, 0) = a;
+      centroids.at(hi, 0) = a_next;
+      norms[lo] = norms[hi] = n;
+      std::vector<float> point(d, 0.0f);
+      point[0] = q / 2.0f;
+      for (const DenseKernel& kernel : kernels) {
+        uint32_t got = 0xDEADBEEF;
+        kernel.nearest(point.data(), 1, centroids.data(), norms.data(), k, d,
+                       &got);
+        EXPECT_EQ(got, lo) << kernel.name << " k=" << k << " d=" << d;
+      }
+    }
+  }
+}
+
+// KMeans on the dispatched kernel, serial and pooled, equals the serial
+// reference bit for bit: centroids, assignments, inertia and iterations.
+TEST(KMeansTest, MatchesSerialReferenceBitForBit) {
+  Rng rng(32);
+  // Ten distinct rows repeated six times: seeding runs out of distinct
+  // points, so duplicated centroids leave clusters empty and the re-seed
+  // path runs.
+  const Matrix distinct = Matrix::RandomGaussian(10, 5, rng);
+  Matrix repeated(60, 5);
+  for (size_t i = 0; i < 60; ++i) {
+    std::copy(distinct.row(i % 10), distinct.row(i % 10) + 5,
+              repeated.row(i));
+  }
+  struct Case {
+    Matrix points;
+    size_t clusters;
+    int iterations;
+  };
+  const Case cases[] = {
+      {Matrix::RandomGaussian(3000, 64, rng), 32, 20},
+      {Matrix::RandomGaussian(401, 17, rng), 15, 25},
+      {Matrix::RandomGaussian(300, 65, rng), 256, 5},
+      {repeated, 40, 6},
+  };
+  ThreadPool pool(3);
+  for (const Case& cs : cases) {
+    clustering::KMeansOptions opts;
+    opts.num_clusters = cs.clusters;
+    opts.max_iterations = cs.iterations;
+    opts.seed = 77;
+    const auto want = testing_ref::ReferenceKMeans(cs.points, opts);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      opts.pool = p;
+      const auto got = clustering::KMeans(cs.points, opts);
+      SCOPED_TRACE(::testing::Message() << "n=" << cs.points.rows()
+                                        << " k=" << cs.clusters
+                                        << " pooled=" << (p != nullptr));
+      ASSERT_EQ(got.centroids.rows(), want.centroids.rows());
+      EXPECT_EQ(std::memcmp(got.centroids.data(), want.centroids.data(),
+                            want.centroids.size() * sizeof(float)),
+                0);
+      EXPECT_EQ(got.assignments, want.assignments);
+      EXPECT_EQ(std::memcmp(&got.inertia, &want.inertia, sizeof(double)), 0)
+          << got.inertia << " vs " << want.inertia;
+      EXPECT_EQ(got.iterations_run, want.iterations_run);
     }
   }
 }

@@ -183,6 +183,50 @@ TEST(DsqModuleTest, EncodeDeterministic) {
   EXPECT_EQ(a, b);
 }
 
+// The one-pass encode Encode ran before it worked in row chunks: every
+// stage's distances over all rows at once, then the residual update.
+std::vector<std::vector<uint32_t>> UnchunkedEncode(const DsqModule& dsq,
+                                                   const Matrix& input) {
+  const DsqConfig& cfg = dsq.config();
+  const std::vector<Matrix> codebooks = dsq.EffectiveCodebooks();
+  std::vector<std::vector<uint32_t>> codes(
+      input.rows(), std::vector<uint32_t>(cfg.num_codebooks));
+  Matrix residual = input;
+  for (size_t m = 0; m < cfg.num_codebooks; ++m) {
+    const Matrix d2 = residual.SquaredEuclideanTo(codebooks[m]);
+    for (size_t i = 0; i < input.rows(); ++i) {
+      const float* row = d2.row(i);
+      size_t best = 0;
+      for (size_t j = 1; j < cfg.num_codewords; ++j) {
+        if (row[j] < row[best]) best = j;
+      }
+      codes[i][m] = static_cast<uint32_t>(best);
+    }
+    if (cfg.residual_skip && m + 1 < cfg.num_codebooks) {
+      for (size_t i = 0; i < input.rows(); ++i) {
+        const float* word = codebooks[m].row(codes[i][m]);
+        float* r = residual.row(i);
+        for (size_t j = 0; j < cfg.dim; ++j) r[j] -= word[j];
+      }
+    }
+  }
+  return codes;
+}
+
+TEST(DsqModuleTest, ChunkedEncodeMatchesUnchunked) {
+  Rng rng(12);
+  DsqConfig cfg = SmallConfig();
+  DsqModule dsq(cfg, rng);
+  constexpr size_t kChunk = DsqModule::kEncodeChunkRows;
+  for (const size_t n : {size_t{1}, kChunk - 1, kChunk, kChunk + 1,
+                         3 * kChunk + 5}) {
+    const Matrix x = Matrix::RandomGaussian(n, cfg.dim, rng);
+    std::vector<std::vector<uint32_t>> codes;
+    dsq.Encode(x, &codes);
+    EXPECT_EQ(codes, UnchunkedEncode(dsq, x)) << "n=" << n;
+  }
+}
+
 TEST(DsqModuleTest, GumbelNoiseSamplesDifferentCodes) {
   Rng rng(14);
   DsqConfig cfg = SmallConfig();

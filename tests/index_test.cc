@@ -416,6 +416,53 @@ void PlantBoundaryItem(Rng& rng, PlantedBoundary* out) {
   }
 }
 
+// ComputeScores, block by block, returns every item's ExactScore bits:
+// norm - 2·dot with the M table entries summed in codebook order from 0.0f,
+// scattered by stored id, on flat and cell-ordered stores whose ranges end
+// in partial blocks, and on the bit-packed store (K > 256).
+TEST_F(AdcIndexTest, ComputeScoresMatchPerItemExactScore) {
+  Rng rng(29);
+  const size_t n = 1000, m = 4, d = 8;  // 1000 = 31 blocks + 8
+  for (const size_t k : {16u, 64u, 256u, 512u}) {
+    std::vector<Matrix> codebooks;
+    for (size_t cb = 0; cb < m; ++cb) {
+      codebooks.push_back(Matrix::RandomGaussian(k, d, rng));
+    }
+    std::vector<std::vector<uint32_t>> codes(n, std::vector<uint32_t>(m));
+    for (auto& item : codes) {
+      for (auto& c : item) c = static_cast<uint32_t>(rng.NextIndex(k));
+    }
+    std::vector<const AdcIndex*> stores;
+    auto flat = AdcIndex::Build(codebooks, codes);
+    ASSERT_TRUE(flat.ok());
+    stores.push_back(&flat.value());
+    IvfOptions opts;
+    opts.num_cells = 7;
+    opts.nprobe = 2;
+    auto ivf = IvfAdcIndex::Build(Matrix::RandomGaussian(n, d, rng), codebooks,
+                                  codes, opts);
+    if (k <= 256) {
+      ASSERT_TRUE(ivf.ok());
+      stores.push_back(&ivf.value().store());
+    }
+    const Matrix query = Matrix::RandomGaussian(1, d, rng);
+    const std::vector<float> lut = ReferenceLut(codebooks, query.data());
+    std::vector<float> want(n);
+    for (size_t id = 0; id < n; ++id) {
+      float dot = 0.0f;
+      for (size_t cb = 0; cb < m; ++cb) dot += lut[cb * k + codes[id][cb]];
+      want[id] = ReconstructionNorm(codebooks, codes[id]) - 2.0f * dot;
+    }
+    for (const AdcIndex* store : stores) {
+      std::vector<float> got;
+      store->ComputeScores(query.data(), &got);
+      ASSERT_EQ(got.size(), n);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(float)), 0)
+          << "k=" << k << (store == stores[0] ? " flat" : " ivf");
+    }
+  }
+}
+
 // The masked fast path (prune kernel against a snapshot of the heap's worst,
 // then the per-item test against the live heap) re-scores exactly the items
 // a per-item scan re-scores: same hits, bit for bit, and the same work

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <numeric>
 #include <set>
 #include <string>
@@ -16,6 +17,7 @@
 #include "src/index/kernels/scan_kernels.h"
 #include "src/serving/shard.h"
 #include "src/util/rng.h"
+#include "tests/reference_kmeans.h"
 
 namespace lightlt::index {
 namespace {
@@ -191,6 +193,64 @@ TEST(IvfAdcIndexTest, ProbeOrderMatchesScalarCentroidDots) {
       EXPECT_EQ(probes[p].first_block, want.first_block);
     }
   }
+}
+
+TEST(IvfAdcIndexTest, CellLayoutMatchesSerialReferenceKMeans) {
+  // The cells hold exactly the items the serial reference k-means assigns
+  // them, in id order, laid out cell by cell on block boundaries: the
+  // nearest-centroid kernel cannot move an item between cells.
+  auto f = MakeFixture(2000, 2, 16, 64, 14);
+  IvfOptions opts;
+  opts.num_cells = 32;
+  opts.nprobe = 4;
+  auto built = IvfAdcIndex::Build(f.embeddings, f.codebooks, f.codes, opts);
+  ASSERT_TRUE(built.ok());
+  const IvfAdcIndex& idx = built.value();
+
+  clustering::KMeansOptions km;
+  km.num_clusters = opts.num_cells;
+  km.max_iterations = opts.kmeans_iterations;
+  km.seed = opts.seed;
+  const auto ref = testing_ref::ReferenceKMeans(f.embeddings, km);
+  const size_t cells = ref.centroids.rows();
+  ASSERT_EQ(cells, idx.num_cells());
+  std::vector<std::vector<uint32_t>> want_ids(cells);
+  for (size_t i = 0; i < ref.assignments.size(); ++i) {
+    want_ids[ref.assignments[i]].push_back(static_cast<uint32_t>(i));
+  }
+  // Cell c's range in the reference layout, keyed by its first slot and
+  // end; empty cells share their neighbour's start and hold no ids.
+  std::map<std::pair<uint32_t, uint32_t>, size_t> cell_at;
+  uint32_t slot = 0, block = 0;
+  std::vector<SlotRange> table(cells);
+  for (size_t c = 0; c < cells; ++c) {
+    const auto size = static_cast<uint32_t>(want_ids[c].size());
+    table[c] = {slot, slot + size, block};
+    if (size > 0) cell_at[{slot, slot + size}] = c;
+    slot += size;
+    block += static_cast<uint32_t>(kernels::NumBlocks(size));
+  }
+
+  Rng rng(15);
+  const Matrix q = Matrix::RandomGaussian(1, 64, rng);
+  const std::vector<SlotRange> probes = idx.Probes(q.data(), cells);
+  ASSERT_EQ(probes.size(), cells);
+  size_t nonempty = 0;
+  for (const SlotRange& probe : probes) {
+    if (probe.begin == probe.end) continue;
+    ++nonempty;
+    const auto it = cell_at.find({probe.begin, probe.end});
+    ASSERT_NE(it, cell_at.end())
+        << "range " << probe.begin << ".." << probe.end;
+    EXPECT_EQ(probe.first_block, table[it->second].first_block);
+    std::vector<SearchHit> hits;
+    for (uint32_t s = probe.begin; s < probe.end; ++s) hits.push_back({s, 0});
+    idx.store().ToStoredIds(&hits);
+    std::vector<uint32_t> got;
+    for (const SearchHit& h : hits) got.push_back(h.id);
+    EXPECT_EQ(got, want_ids[it->second]) << "cell " << it->second;
+  }
+  EXPECT_EQ(nonempty, cell_at.size());
 }
 
 TEST(IvfAdcIndexTest, ScanFractionScalesWithNprobe) {

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "src/tensor/grad_check.h"
 #include "src/util/rng.h"
@@ -42,6 +46,30 @@ using ops::Tanh;
 
 Var RandomParam(size_t rows, size_t cols, Rng& rng, float stddev = 1.0f) {
   return MakeParam(Matrix::RandomGaussian(rows, cols, rng, stddev));
+}
+
+// NaN, both zeros, both infinities, denormals of both signs, FLT_MAX and
+// ordinary values.
+std::vector<float> ReluSpecials() {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  return {std::numeric_limits<float>::quiet_NaN(),
+          -std::numeric_limits<float>::quiet_NaN(),
+          0.0f, -0.0f, inf, -inf, tiny, -tiny, 1e-40f, -3e-39f,
+          std::numeric_limits<float>::max(), -std::numeric_limits<float>::max(),
+          1.5f, -2.25f, 0.5f, -0.75f};
+}
+
+TEST(OpsForwardTest, ReluMatchesBranchingLoopOnSpecials) {
+  // v > 0 ? v : +0, so NaN and -0 give +0.
+  const std::vector<float> in = ReluSpecials();
+  Var y = Relu(MakeParam(Matrix(1, in.size(), in)));
+  std::vector<float> want = in;
+  for (float& v : want) v = v > 0.0f ? v : 0.0f;
+  ASSERT_EQ(y->value().size(), want.size());
+  EXPECT_EQ(
+      std::memcmp(y->value().data(), want.data(), want.size() * sizeof(float)),
+      0);
 }
 
 TEST(OpsForwardTest, AddSubMulValues) {
@@ -177,6 +205,25 @@ TEST(OpsGradTest, ReluAwayFromKink) {
   Var a = MakeParam(init);
   auto result = CheckGradients({a}, [&] { return Sum(Square(Relu(a))); });
   EXPECT_TRUE(result.passed) << result.detail;
+}
+
+TEST(OpsGradTest, ReluBackwardMatchesBranchingLoopOnSpecials) {
+  // The gradient is zeroed (+0) where the input is <= 0 (either zero
+  // included) and kept elsewhere: a NaN input keeps its gradient.
+  const std::vector<float> in = ReluSpecials();
+  std::vector<float> upstream = ReluSpecials();
+  std::reverse(upstream.begin(), upstream.end());
+  Var x = MakeParam(Matrix(1, in.size(), in));
+  Backward(Sum(MulConstant(Relu(x), Matrix(1, upstream.size(), upstream))));
+  std::vector<float> want(in.size());
+  for (size_t i = 0; i < in.size(); ++i) {
+    want[i] = 1.0f * upstream[i];  // Sum's ones times the constant
+    if (in[i] <= 0.0f) want[i] = 0.0f;
+  }
+  ASSERT_EQ(x->grad().size(), want.size());
+  EXPECT_EQ(
+      std::memcmp(x->grad().data(), want.data(), want.size() * sizeof(float)),
+      0);
 }
 
 TEST(OpsGradTest, TanhChain) {
