@@ -1,8 +1,9 @@
 // Micro-benchmarks of the search kernels behind Fig. 7: ADC lookup-table
 // scoring vs exhaustive float scoring, packed-code access, Hamming scoring,
-// and the fast-scan accumulate and prune kernels (DESIGN.md §12) — one row
-// per kernel family available on this CPU, registered at runtime, so the
-// scalar reference and the SIMD variants land side by side in the JSON for
+// and the fast-scan accumulate and prune kernels (DESIGN.md §12), and the
+// serving re-rank's reconstruction distances (DESIGN.md §17) — one row per
+// kernel family available on this CPU, registered at runtime, so the scalar
+// reference and the SIMD variants land side by side in the JSON for
 // tools/bench_smoke.sh --gate to diff.
 
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 #include "src/index/flat_index.h"
 #include "src/index/hamming_index.h"
 #include "src/index/kernels/scan_kernels.h"
+#include "src/tensor/dense_product.h"
 #include "src/util/rng.h"
 
 namespace lightlt {
@@ -212,9 +214,95 @@ void BM_AdcSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_AdcSearch)->Arg(1000)->Arg(10000)->Arg(100000);
 
+// The serving re-rank of a pool of n candidates: exact ‖q − o‖² to each
+// candidate's reconstruction at d = 64, M = 4, K = 64 (the bench/e2e IVF
+// shape). BM_Rerank runs the served path over a 20k-item index (random
+// slots, row pointers gathered per call, the dispatched kernel); the other
+// rows take the same pre-gathered codeword rows, so the old loop
+// (BM_RerankParentLoop) and each variant (BM_RerankKernel<family>) see
+// identical inputs.
+void BM_Rerank(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(10);
+  const index::AdcIndex idx = MakeAdc(20000, rng);
+  const Matrix query = Matrix::RandomGaussian(1, kDim, rng);
+  std::vector<index::SearchHit> hits;
+  for (size_t i = 0; i < n; ++i) {
+    hits.push_back({static_cast<uint32_t>(rng.NextIndex(20000)), 0.0f});
+  }
+  std::vector<float> out(n);
+  for (auto _ : state) {
+    idx.ReconstructionDistances(query.data(), hits, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_Rerank)->Arg(50);
+
+struct RerankRows {
+  explicit RerankRows(size_t n) : words(n * kCodebooks), out(n) {
+    Rng rng(11);
+    for (size_t m = 0; m < kCodebooks; ++m) {
+      codebooks.push_back(Matrix::RandomGaussian(kCodewords, kDim, rng));
+    }
+    for (size_t i = 0; i < words.size(); ++i) {
+      words[i] = codebooks[i % kCodebooks].row(rng.NextIndex(kCodewords));
+    }
+    query = Matrix::RandomGaussian(1, kDim, rng);
+  }
+  std::vector<Matrix> codebooks;
+  std::vector<const float*> words;
+  Matrix query;
+  std::vector<float> out;
+};
+
+// The loop the re-rank ran before the kernel: one zeroed reconstruction
+// Matrix per candidate and one serial sum.
+void BM_RerankParentLoop(benchmark::State& state) {
+  RerankRows f(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    for (size_t i = 0; i < f.out.size(); ++i) {
+      Matrix recon(1, kDim);
+      for (size_t cb = 0; cb < kCodebooks; ++cb) {
+        const float* word = f.words[i * kCodebooks + cb];
+        for (size_t j = 0; j < kDim; ++j) recon[j] += word[j];
+      }
+      float dist = 0.0f;
+      for (size_t j = 0; j < kDim; ++j) {
+        const float diff = f.query[j] - recon[j];
+        dist += diff * diff;
+      }
+      f.out[i] = dist;
+    }
+    benchmark::DoNotOptimize(f.out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * f.out.size());
+}
+BENCHMARK(BM_RerankParentLoop)->Arg(50);
+
+void BM_RerankKernel(benchmark::State& state,
+                     ReconstructionDistancesFn kernel) {
+  RerankRows f(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    kernel(f.query.data(), f.words.data(), f.out.size(), kCodebooks, kDim,
+           f.out.data());
+    benchmark::DoNotOptimize(f.out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * f.out.size());
+}
+
 // Kernel rows depend on the CPU, so they register at runtime rather than
 // via the static BENCHMARK macro.
-void RegisterScanKernelBenchmarks() {
+void RegisterKernelBenchmarks() {
+  for (const DenseKernel& kernel : AvailableDenseKernels()) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_RerankKernel") + kernel.name).c_str(),
+        BM_RerankKernel, kernel.reconstruction)
+        ->Arg(50);
+  }
   const size_t kp = index::kernels::PadCodewords(kCodewords);
   for (const std::string& name : index::kernels::AvailableScanKernels()) {
     const auto kernel = index::kernels::ScanKernelByName(name, kp);
@@ -234,7 +322,7 @@ void RegisterScanKernelBenchmarks() {
 }  // namespace lightlt
 
 int main(int argc, char** argv) {
-  lightlt::RegisterScanKernelBenchmarks();
+  lightlt::RegisterKernelBenchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

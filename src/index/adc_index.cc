@@ -1,6 +1,7 @@
 #include "src/index/adc_index.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <numeric>
@@ -129,12 +130,14 @@ std::vector<SlotRange> AdcIndex::AllRanges() const {
 size_t AdcIndex::PositionOf(size_t slot) const {
   if (cells_.empty()) return slot;
   // The last cell starting at or before `slot` holds it (empty cells that
-  // share its start come first).
-  const auto cell =
-      std::prev(std::upper_bound(cells_.begin(), cells_.end(), slot,
-                                 [](size_t s, const SlotRange& range) {
-                                   return s < range.begin;
-                                 }));
+  // share its start come first; the first cell starts at slot 0). The
+  // search halves without branches: a re-rank pool's slots fall in
+  // unpredictable cells.
+  const SlotRange* cell = cells_.data();
+  for (size_t len = cells_.size(); len > 1; len -= len / 2) {
+    const SlotRange* mid = cell + len / 2;
+    cell = mid->begin <= slot ? mid : cell;
+  }
   return cell->first_block * kernels::kBlockItems + (slot - cell->begin);
 }
 
@@ -414,6 +417,32 @@ Matrix AdcIndex::Reconstruct(size_t slot) const {
     for (size_t j = 0; j < dim(); ++j) out[j] += word[j];
   }
   return out;
+}
+
+void AdcIndex::ReconstructionDistances(const float* query,
+                                       std::span<const SearchHit> hits,
+                                       float* out) const {
+  const size_t m = codebooks_.size();
+  // Codeword row pointers on the stack: a 64-hit re-rank piece at M <= 16
+  // is one kernel call.
+  constexpr size_t kStackWords = 1024;
+  std::array<const float*, kStackWords> stack_words;
+  std::vector<const float*> heap_words(m > kStackWords ? m : 0);
+  const float** words =
+      m > kStackWords ? heap_words.data() : stack_words.data();
+  const size_t per_call = std::max<size_t>(1, kStackWords / m);
+  for (size_t begin = 0; begin < hits.size(); begin += per_call) {
+    const size_t count = std::min(per_call, hits.size() - begin);
+    for (size_t i = 0; i < count; ++i) {
+      const size_t slot = hits[begin + i].id;
+      const size_t pos = PositionOf(slot);
+      for (size_t cb = 0; cb < m; ++cb) {
+        words[i * m + cb] = codebooks_[cb].row(CodeAt(slot, pos, cb));
+      }
+    }
+    lightlt::ReconstructionDistances(query, words, count, m, dim(),
+                                     out + begin);
+  }
 }
 
 size_t AdcIndex::MemoryBytes() const {

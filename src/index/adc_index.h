@@ -119,6 +119,14 @@ class AdcIndex {
   /// Reconstructs the item in `slot` as the sum of its selected codewords.
   Matrix Reconstruct(size_t slot) const;
 
+  /// out[i] = ‖query − o‖² for the item o in slot hits[i].id: the
+  /// ReconstructionDistances kernel over every hit in one call, with the
+  /// same bits as summing Reconstruct(slot) and the squared differences in
+  /// order (DESIGN.md §17).
+  void ReconstructionDistances(const float* query,
+                               std::span<const SearchHit> hits,
+                               float* out) const;
+
   size_t num_items() const { return norms_.size(); }
   size_t num_codebooks() const { return codebooks_.size(); }
   size_t num_codewords() const {

@@ -1,6 +1,7 @@
 #include "src/serving/shard.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "src/obs/profile.h"
@@ -113,28 +114,30 @@ Result<std::vector<index::SearchHit>> ReplicaSearcher::Search(
     // score already is that distance up to a query-constant, so re-ranking
     // only matters when the candidate pool came from a lossier path (IVF
     // probing) or a future approximate scorer; it is cheap either way.
-    const size_t d = codes.dim();
-    for (size_t i = 0; i < hits.size(); ++i) {
-      if (i % kRerankCheckEvery == 0 && !control.Trivial()) {
-        LIGHTLT_RETURN_IF_ERROR(control.Check());
+    // One kernel call per piece of kRerankCheckEvery hits, the control
+    // polled before each.
+    float distances[kRerankCheckEvery] = {};
+    for (size_t begin = 0; begin < hits.size(); begin += kRerankCheckEvery) {
+      if (!control.Trivial()) LIGHTLT_RETURN_IF_ERROR(control.Check());
+      const size_t count = std::min(kRerankCheckEvery, hits.size() - begin);
+      codes.ReconstructionDistances(
+          query, std::span<const index::SearchHit>(hits).subspan(begin, count),
+          distances);
+      for (size_t i = 0; i < count; ++i) {
+        hits[begin + i].distance = distances[i];
       }
-      auto& hit = hits[i];
-      const Matrix recon = codes.Reconstruct(hit.id);
-      float dist = 0.0f;
-      for (size_t j = 0; j < d; ++j) {
-        const float diff = query[j] - recon[j];
-        dist += diff * diff;
-      }
-      hit.distance = dist;
     }
   }
   codes.ToStoredIds(&hits);
   if (rerank) {
-    std::sort(hits.begin(), hits.end(),
-              [](const index::SearchHit& a, const index::SearchHit& b) {
-                return a.distance < b.distance ||
-                       (a.distance == b.distance && a.id < b.id);
-              });
+    // (distance, id) is a total order over distinct ids, so sorting only
+    // the first top_k gives the head a full sort would.
+    const size_t keep = std::min(top_k, hits.size());
+    std::partial_sort(hits.begin(), hits.begin() + keep, hits.end(),
+                      [](const index::SearchHit& a, const index::SearchHit& b) {
+                        return a.distance < b.distance ||
+                               (a.distance == b.distance && a.id < b.id);
+                      });
   }
 
   if (hits.size() > top_k) hits.resize(top_k);

@@ -79,6 +79,28 @@ void NearestCentroidScalar(const float* points, size_t n,
   }
 }
 
+// The reference: the loop the serving re-rank ran before the SIMD variants
+// existed, with one reconstruction row per call in place of a zeroed 1 x d
+// Matrix per candidate.
+void ReconstructionDistancesScalar(const float* query,
+                                   const float* const* words, size_t n,
+                                   size_t m, size_t d, float* out) {
+  std::vector<float> recon(d);
+  for (size_t i = 0; i < n; ++i) {
+    std::fill(recon.begin(), recon.end(), 0.0f);
+    for (size_t cb = 0; cb < m; ++cb) {
+      const float* word = words[i * m + cb];
+      for (size_t j = 0; j < d; ++j) recon[j] += word[j];
+    }
+    float dist = 0.0f;
+    for (size_t j = 0; j < d; ++j) {
+      const float diff = query[j] - recon[j];
+      dist += diff * diff;
+    }
+    out[i] = dist;
+  }
+}
+
 bool ScalarSupported() { return true; }
 
 struct Family {
@@ -86,15 +108,17 @@ struct Family {
   bool (*supported)();
   DenseProductFn fn;
   NearestCentroidFn nearest;
+  ReconstructionDistancesFn reconstruction;
 };
 
 // Preference order: widest vectors first, scalar last.
 constexpr Family kFamilies[] = {
     {"avx512", &detail::DenseAvx512Supported, &detail::DenseProductAvx512,
-     &detail::NearestCentroidAvx512},
+     &detail::NearestCentroidAvx512, &detail::ReconstructionDistancesAvx512},
     {"avx2", &detail::DenseAvx2Supported, &detail::DenseProductAvx2,
-     &detail::NearestCentroidAvx2},
-    {"scalar", &ScalarSupported, &DenseProductScalar, &NearestCentroidScalar},
+     &detail::NearestCentroidAvx2, &detail::ReconstructionDistancesAvx2},
+    {"scalar", &ScalarSupported, &DenseProductScalar, &NearestCentroidScalar,
+     &ReconstructionDistancesScalar},
 };
 
 const Family& SelectedFamily() {
@@ -134,7 +158,9 @@ CentroidPanel PackCentroids(const float* centroids, const float* norms,
 std::vector<DenseKernel> AvailableDenseKernels() {
   std::vector<DenseKernel> out;
   for (const Family& f : kFamilies) {
-    if (f.supported()) out.push_back({f.name, f.fn, f.nearest});
+    if (f.supported()) {
+      out.push_back({f.name, f.fn, f.nearest, f.reconstruction});
+    }
   }
   return out;
 }
@@ -147,6 +173,11 @@ void DenseProduct(ProductLayout layout, const float* a, const float* b,
 void NearestCentroid(const float* points, size_t n, const float* centroids,
                      const float* norms, size_t k, size_t d, uint32_t* out) {
   SelectedFamily().nearest(points, n, centroids, norms, k, d, out);
+}
+
+void ReconstructionDistances(const float* query, const float* const* words,
+                             size_t n, size_t m, size_t d, float* out) {
+  SelectedFamily().reconstruction(query, words, n, m, d, out);
 }
 
 }  // namespace lightlt

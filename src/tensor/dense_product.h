@@ -1,7 +1,8 @@
 // The one dense float product kernel behind Matrix::MatMul,
 // Matrix::TransposedMatMul and Matrix::MatMulTransposed, and through them
 // training, embedding, DSQ encoding, the ADC lookup tables and IVF routing,
-// plus the nearest-centroid kernel behind k-means assignment (DESIGN.md §17).
+// plus the nearest-centroid kernel behind k-means assignment and the
+// reconstruction-distance kernel behind the serving re-rank (DESIGN.md §17).
 //
 // Every output has one fixed arithmetic: c_ij starts at 0.0f and adds the
 // rounded product A(i,t)·B(t,j) for t = 0, 1, ..., k-1 in that order, each
@@ -49,10 +50,23 @@ using NearestCentroidFn = void (*)(const float* points, size_t n,
                                    const float* centroids, const float* norms,
                                    size_t k, size_t d, uint32_t* out);
 
+/// For each of the n candidates i, the squared distance ‖q − o_i‖² from
+/// `query` (d floats) to the reconstruction o_i, the sum of its m codeword
+/// rows words[i*m + cb] (d floats each), under one fixed arithmetic: per
+/// coordinate r[t] starts at 0.0f and adds words[i*m + cb][t] for
+/// cb = 0, 1, ..., m-1; then s starts at 0.0f and adds diff·diff with
+/// diff = q[t] − r[t] for t = 0, 1, ..., d-1, every add, subtraction and
+/// product rounded on its own. out[i] = s.
+using ReconstructionDistancesFn = void (*)(const float* query,
+                                           const float* const* words,
+                                           size_t n, size_t m, size_t d,
+                                           float* out);
+
 struct DenseKernel {
   const char* name;
   DenseProductFn fn;
   NearestCentroidFn nearest;
+  ReconstructionDistancesFn reconstruction;
 };
 
 /// The variants this CPU can run, widest vectors first; the last one is
@@ -66,6 +80,10 @@ void DenseProduct(ProductLayout layout, const float* a, const float* b,
 /// Nearest centroid per point on the same variant DenseProduct uses.
 void NearestCentroid(const float* points, size_t n, const float* centroids,
                      const float* norms, size_t k, size_t d, uint32_t* out);
+
+/// Reconstruction distances on the same variant DenseProduct uses.
+void ReconstructionDistances(const float* query, const float* const* words,
+                             size_t n, size_t m, size_t d, float* out);
 
 }  // namespace lightlt
 

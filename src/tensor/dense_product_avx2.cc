@@ -1,7 +1,7 @@
-// AVX2 dense products and nearest centroids: the AVX-512 routines'
-// structure at 8 lanes, with sign-bit lane masks (vmaskmov, blendv) instead
-// of mask registers. Built without FMA. Runtime-dispatched; stubs on
-// non-x86.
+// AVX2 dense products, nearest centroids and reconstruction distances: the
+// AVX-512 routines' structure at 8 lanes, with sign-bit lane masks
+// (vmaskmov, blendv) instead of mask registers. Built without FMA.
+// Runtime-dispatched; stubs on non-x86.
 
 #include "src/tensor/dense_product_isa.h"
 
@@ -296,6 +296,56 @@ LIGHTLT_AVX2_TARGET void NearestRows(const float* points, size_t n,
   }
 }
 
+// The AVX-512 ReconstructionSlice at 8 lanes: 8 candidates, 8 coordinates.
+template <bool kFull>
+LIGHTLT_AVX2_TARGET inline void ReconstructionSlice(
+    const float* query, const float* const* words, size_t count, size_t m,
+    size_t t, size_t terms, __m256& acc) {
+  const __m256i coords = FirstLanes(terms);
+  const __m256 q = kFull ? _mm256_loadu_ps(query + t)
+                         : _mm256_maskload_ps(query + t, coords);
+  __m256 diff[kLanes];
+#pragma GCC unroll 8
+  for (size_t i = 0; i < kLanes; ++i) {
+    __m256 r = _mm256_setzero_ps();
+    if (i < count) {
+      const float* const* w = words + i * m;
+      for (size_t cb = 0; cb < m; ++cb) {
+        r = _mm256_add_ps(r, kFull ? _mm256_loadu_ps(w[cb] + t)
+                                   : _mm256_maskload_ps(w[cb] + t, coords));
+      }
+    }
+    diff[i] = _mm256_sub_ps(q, r);
+  }
+  Transpose8(diff);
+#pragma GCC unroll 8
+  for (size_t tt = 0; tt < kLanes; ++tt) {
+    if (kFull || tt < terms) {
+      acc = _mm256_add_ps(acc, _mm256_mul_ps(diff[tt], diff[tt]));
+    }
+  }
+}
+
+// flatten: the slices and their transposes inline, so the difference rows
+// stay in registers.
+LIGHTLT_AVX2_TARGET __attribute__((flatten)) void ReconstructionGroups(
+    const float* query, const float* const* words, size_t n, size_t m,
+    size_t d, float* out) {
+  for (size_t i = 0; i < n; i += kLanes) {
+    const size_t count = std::min(kLanes, n - i);
+    const float* const* group = words + i * m;
+    __m256 acc = _mm256_setzero_ps();
+    size_t t = 0;
+    for (; t + kLanes <= d; t += kLanes) {
+      ReconstructionSlice<true>(query, group, count, m, t, kLanes, acc);
+    }
+    if (t < d) {
+      ReconstructionSlice<false>(query, group, count, m, t, d - t, acc);
+    }
+    _mm256_maskstore_ps(out + i, FirstLanes(count), acc);
+  }
+}
+
 #undef LIGHTLT_AVX2_TARGET
 
 }  // namespace
@@ -325,6 +375,11 @@ void NearestCentroidAvx2(const float* points, size_t n,
               out);
 }
 
+void ReconstructionDistancesAvx2(const float* query, const float* const* words,
+                                 size_t n, size_t m, size_t d, float* out) {
+  ReconstructionGroups(query, words, n, m, d, out);
+}
+
 }  // namespace lightlt::detail
 
 #else  // non-x86
@@ -335,6 +390,8 @@ void DenseProductAvx2(ProductLayout, const float*, const float*, size_t,
                       size_t, size_t, float*) {}
 void NearestCentroidAvx2(const float*, size_t, const float*, const float*,
                          size_t, size_t, uint32_t*) {}
+void ReconstructionDistancesAvx2(const float*, const float* const*, size_t,
+                                 size_t, size_t, float*) {}
 }  // namespace lightlt::detail
 
 #endif

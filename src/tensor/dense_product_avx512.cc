@@ -1,7 +1,8 @@
 // AVX-512F dense products: one output column per lane, 16 per vector.
 // kAB and kAtB broadcast A(i,t) against a row of B; kABt transposes 16x16
 // tiles of B in registers, so no packed copy of B is ever stored. The
-// nearest-centroid kernel puts one centroid per lane.
+// nearest-centroid kernel puts one centroid per lane, the
+// reconstruction-distance kernel one candidate per lane.
 // Runtime-dispatched; stubs on non-x86.
 
 #include "src/tensor/dense_product_isa.h"
@@ -13,10 +14,12 @@
 #include <limits>
 
 // GCC's avx512 intrinsic headers self-initialize undefined vectors with the
-// "__Y = __Y" idiom, which -Wmaybe-uninitialized flags from any inlined use
-// site; the values are fully overwritten before use.
+// "__Y = __Y" idiom, which -Wmaybe-uninitialized (or, where it inlines
+// deeper, -Wuninitialized) flags from any inlined use site; the values are
+// fully overwritten before use.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #endif
 
 namespace lightlt::detail {
@@ -318,6 +321,59 @@ LIGHTLT_AVX512_TARGET void NearestRows(const float* points, size_t n,
   }
 }
 
+// One 16-coordinate slice [t, t + terms) of up to 16 re-rank candidates,
+// one per lane of `acc`. Each candidate's difference row q − r is built with
+// whole-vector adds in codebook order (coordinates past d load as 0 and are
+// never summed), the rows are transposed in registers, and each lane's sum
+// advances by diff·diff in coordinate order: the scalar chain per lane.
+// Lanes past `count` carry q − 0 and are never stored.
+template <bool kFull>
+LIGHTLT_AVX512_TARGET inline void ReconstructionSlice(
+    const float* query, const float* const* words, size_t count, size_t m,
+    size_t t, size_t terms, __m512& acc) {
+  const __mmask16 coords = FirstLanes(terms);
+  const __m512 q = _mm512_maskz_loadu_ps(coords, query + t);
+  __m512 diff[kLanes];
+#pragma GCC unroll 16
+  for (size_t i = 0; i < kLanes; ++i) {
+    __m512 r = _mm512_setzero_ps();
+    if (i < count) {
+      const float* const* w = words + i * m;
+      for (size_t cb = 0; cb < m; ++cb) {
+        r = _mm512_add_ps(r, _mm512_maskz_loadu_ps(coords, w[cb] + t));
+      }
+    }
+    diff[i] = _mm512_sub_ps(q, r);
+  }
+  Transpose16(diff);
+#pragma GCC unroll 16
+  for (size_t tt = 0; tt < kLanes; ++tt) {
+    if (kFull || tt < terms) {
+      acc = _mm512_add_ps(acc, _mm512_mul_ps(diff[tt], diff[tt]));
+    }
+  }
+}
+
+// flatten: the slices and their transposes inline, so the difference rows
+// stay in registers.
+LIGHTLT_AVX512_TARGET __attribute__((flatten)) void ReconstructionGroups(
+    const float* query, const float* const* words, size_t n, size_t m,
+    size_t d, float* out) {
+  for (size_t i = 0; i < n; i += kLanes) {
+    const size_t count = std::min(kLanes, n - i);
+    const float* const* group = words + i * m;
+    __m512 acc = _mm512_setzero_ps();
+    size_t t = 0;
+    for (; t + kLanes <= d; t += kLanes) {
+      ReconstructionSlice<true>(query, group, count, m, t, kLanes, acc);
+    }
+    if (t < d) {
+      ReconstructionSlice<false>(query, group, count, m, t, d - t, acc);
+    }
+    _mm512_mask_storeu_ps(out + i, FirstLanes(count), acc);
+  }
+}
+
 #undef LIGHTLT_AVX512_TARGET
 
 }  // namespace
@@ -347,6 +403,12 @@ void NearestCentroidAvx512(const float* points, size_t n,
               out);
 }
 
+void ReconstructionDistancesAvx512(const float* query,
+                                   const float* const* words, size_t n,
+                                   size_t m, size_t d, float* out) {
+  ReconstructionGroups(query, words, n, m, d, out);
+}
+
 }  // namespace lightlt::detail
 
 #else  // non-x86
@@ -357,6 +419,8 @@ void DenseProductAvx512(ProductLayout, const float*, const float*, size_t,
                         size_t, size_t, float*) {}
 void NearestCentroidAvx512(const float*, size_t, const float*, const float*,
                            size_t, size_t, uint32_t*) {}
+void ReconstructionDistancesAvx512(const float*, const float* const*, size_t,
+                                   size_t, size_t, float*) {}
 }  // namespace lightlt::detail
 
 #endif

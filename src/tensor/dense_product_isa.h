@@ -17,6 +17,9 @@ void DenseProductAvx512(ProductLayout layout, const float* a, const float* b,
 void NearestCentroidAvx512(const float* points, size_t n,
                            const float* centroids, const float* norms,
                            size_t k, size_t d, uint32_t* out);
+void ReconstructionDistancesAvx512(const float* query,
+                                   const float* const* words, size_t n,
+                                   size_t m, size_t d, float* out);
 
 bool DenseAvx2Supported();
 void DenseProductAvx2(ProductLayout layout, const float* a, const float* b,
@@ -24,6 +27,8 @@ void DenseProductAvx2(ProductLayout layout, const float* a, const float* b,
 void NearestCentroidAvx2(const float* points, size_t n,
                          const float* centroids, const float* norms, size_t k,
                          size_t d, uint32_t* out);
+void ReconstructionDistancesAvx2(const float* query, const float* const* words,
+                                 size_t n, size_t m, size_t d, float* out);
 
 /// The centroids of a nearest-centroid call as the SIMD variants read them:
 /// `lanes` centroids per block, block b holding c[b*lanes + l][t] at

@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
+#include "src/core/pipeline.h"
 #include "src/core/trainer.h"
 #include "src/data/dataset.h"
+#include "tests/reference_rerank.h"
 
 namespace lightlt::serving {
 namespace {
@@ -113,6 +117,49 @@ TEST(RetrievalServiceTest, BatchMatchesSingleQueries) {
   }
 }
 
+// For every query, the service built with `opts` (exact re-rank on) serves
+// the reference re-rank (tests/reference_rerank.h) of the pool that the same
+// service without the re-rank serves: ids and distance bits.
+void ExpectServesReferenceRerank(const ServiceFixture& f,
+                                 const ServiceOptions& opts, size_t top_k) {
+  ServiceOptions plain = opts;
+  plain.exact_rerank = false;
+  plain.rerank_pool = 0;
+  auto with = RetrievalService::Build(f.model, f.bench.database.features, opts);
+  auto without =
+      RetrievalService::Build(f.model, f.bench.database.features, plain);
+  ASSERT_TRUE(with.ok() && without.ok());
+  const Matrix embedded =
+      core::EmbedInChunks(*f.model, f.bench.database.features);
+  std::vector<std::vector<uint32_t>> codes;
+  f.model->dsq().Encode(embedded, &codes);
+  const std::vector<Matrix> codebooks = f.model->Codebooks();
+  const size_t pool = std::max(top_k, opts.rerank_pool);
+  for (size_t q = 0; q < f.bench.query.size(); ++q) {
+    const Matrix features = f.bench.query.features.RowCopy(q);
+    auto candidates = without.value().Query(features, pool);
+    ASSERT_TRUE(candidates.ok());
+    std::vector<index::SearchHit> hits;
+    for (const ServedHit& hit : candidates.value()) {
+      hits.push_back({hit.id, hit.distance});
+    }
+    const Matrix query = f.model->Embed(features);
+    const auto want =
+        testing_ref::ReferenceRerank(query.data(), hits, codebooks, codes,
+                                     top_k);
+    auto got = with.value().Query(features, top_k);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got.value().size(), want.size()) << "q=" << q;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.value()[i].id, want[i].id) << "q=" << q << " i=" << i;
+      EXPECT_EQ(std::memcmp(&got.value()[i].distance, &want[i].distance,
+                            sizeof(float)),
+                0)
+          << "q=" << q << " i=" << i;
+    }
+  }
+}
+
 TEST(RetrievalServiceTest, ExactRerankKeepsResultSetConsistent) {
   auto f = MakeFixture();
   ServiceOptions opts;
@@ -128,6 +175,13 @@ TEST(RetrievalServiceTest, ExactRerankKeepsResultSetConsistent) {
   for (size_t i = 1; i < hits.value().size(); ++i) {
     EXPECT_LE(hits.value()[i - 1].distance, hits.value()[i].distance);
   }
+  // And they are the reference re-rank's, flat and with IVF.
+  ExpectServesReferenceRerank(f, opts, 5);
+  ServiceOptions ivf = opts;
+  ivf.use_ivf = true;
+  ivf.ivf.num_cells = 10;
+  ivf.ivf.nprobe = 4;
+  ExpectServesReferenceRerank(f, ivf, 5);
 }
 
 TEST(RetrievalServiceTest, IvfModeServesAndSaysHowMuchItScans) {
@@ -213,6 +267,8 @@ TEST(RetrievalServiceTest, RerankPoolSmallerThanTopKStillFillsTopK) {
   auto hits = service.value().Query(f.bench.query.features.RowCopy(0), 6);
   ASSERT_TRUE(hits.ok());
   EXPECT_EQ(hits.value().size(), 6u);
+  // The pool grows to top_k and is re-ranked whole.
+  ExpectServesReferenceRerank(f, opts, 6);
 }
 
 TEST(RetrievalServiceTest, IvfShortfallDegradesToFlatScan) {

@@ -4,11 +4,12 @@
 # fuzz over every artifact format (truncations, bit flips, failed writes at
 # every offset), the checkpoint/resume tests, the index suites whose
 # slot and range arithmetic is raw-pointer math over one code array, and
-# the dense-product, nearest-centroid (k-means), chunked DSQ encode, ReLU
-# and tape-free embed suites, whose SIMD tiles, tails and reused buffers
-# run over exact-size buffers. Exits
-# nonzero if ASan reports an error or any loader crashes/leaks instead of
-# returning Status.
+# the dense-product, nearest-centroid (k-means), reconstruction-distance
+# (serving re-rank), chunked DSQ encode, ReLU and tape-free embed suites,
+# whose SIMD tiles, tails and reused buffers run over exact-size buffers,
+# and the re-rank serving suite over the packed and cell-ordered stores.
+# Exits nonzero if ASan reports an error or any loader crashes/leaks
+# instead of returning Status.
 #
 # Usage: tools/run_fault_injection.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -23,6 +24,6 @@ cmake --build "${build_dir}" --target lightlt_tests -j "$(nproc)"
 
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1:${ASAN_OPTIONS:-}"
 ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" \
-  -R '^(FaultInjectionTest|CheckpointTest|CheckpointConfigTest|BinaryIoTest|SerializeTest|DataIoTest|ScanKernelsTest|AdcIndexTest|IvfAdcIndexTest|PackedCodesTest|MatrixTest|LightLtModelTest|KMeansTest|DsqModuleTest|OpsForwardTest|OpsGradTest)\.'
+  -R '^(FaultInjectionTest|CheckpointTest|CheckpointConfigTest|BinaryIoTest|SerializeTest|DataIoTest|ScanKernelsTest|AdcIndexTest|IvfAdcIndexTest|PackedCodesTest|MatrixTest|LightLtModelTest|KMeansTest|DsqModuleTest|OpsForwardTest|OpsGradTest|ReconstructionDistancesTest|RerankServingTest)\.'
 
 echo "Fault-injection suite passed under AddressSanitizer."
