@@ -57,8 +57,8 @@ class IvfAdcIndex {
   /// Control-aware Search: polls deadline/cancellation between scan chunks
   /// (a chunk never spans cells), and runs the chaos IVF hooks — an
   /// injected IVF failure surfaces here as kUnavailable, which the serving
-  /// circuit breaker counts. On success, may still return fewer than top_k
-  /// hits when the probed cells are short (caller degrades).
+  /// layer answers with a flat scan. On success, may still return fewer
+  /// than top_k hits when the probed cells are short (caller degrades).
   Result<std::vector<SearchHit>> Search(const float* query, size_t top_k,
                                         const ScanControl& control,
                                         size_t nprobe_override) const;

@@ -253,23 +253,25 @@ serving::ReplicaAttempt RemoteSearcherClient::Search(
   return finish(Status(code, "remote: " + resp.message));
 }
 
-Result<WireInfoResponse> RemoteSearcherClient::GetInfo(
-    uint32_t shard, const Deadline& deadline) {
+template <typename Response>
+Result<Response> RemoteSearcherClient::AdminCall(
+    const char* op, FrameType request_type,
+    const std::vector<uint8_t>& request_body, FrameType response_type,
+    Status (*decode)(const std::vector<uint8_t>&, Response*),
+    const Deadline& deadline) {
   const ScanControl control{deadline, CancellationToken()};
   Result<Socket> acquired = Acquire(control);
   if (!acquired.ok()) return acquired.status();
   Socket sock = std::move(acquired).value();
 
   Frame response;
-  Status status =
-      Exchange(&sock, FrameType::kInfoRequest, EncodeInfoRequest(shard),
-               FrameType::kInfoResponse, &response, control);
-  WireInfoResponse resp;
-  if (status.ok()) {
-    status = DecodeInfoResponse(response.body, &resp);
-  }
+  Status status = Exchange(&sock, request_type, request_body, response_type,
+                           &response, control);
+  Response resp;
+  if (status.ok()) status = decode(response.body, &resp);
   if (!status.ok()) {
     transport_errors_.fetch_add(1, std::memory_order_relaxed);
+    LogTransportError(op, 0, status);
     if (status.code() == StatusCode::kIoError) {
       wire_errors_.fetch_add(1, std::memory_order_relaxed);
       if (errors_corrupt_counter_ != nullptr) {
@@ -287,80 +289,27 @@ Result<WireInfoResponse> RemoteSearcherClient::GetInfo(
     return Status(code, "remote: " + resp.message);
   }
   return resp;
+}
+
+Result<WireInfoResponse> RemoteSearcherClient::GetInfo(
+    uint32_t shard, const Deadline& deadline) {
+  return AdminCall("get_info", FrameType::kInfoRequest,
+                   EncodeInfoRequest(shard), FrameType::kInfoResponse,
+                   &DecodeInfoResponse, deadline);
 }
 
 Result<WireMetricsResponse> RemoteSearcherClient::GetMetrics(
     const Deadline& deadline) {
-  const ScanControl control{deadline, CancellationToken()};
-  Result<Socket> acquired = Acquire(control);
-  if (!acquired.ok()) return acquired.status();
-  Socket sock = std::move(acquired).value();
-
-  Frame response;
-  Status status =
-      Exchange(&sock, FrameType::kMetricsRequest, EncodeMetricsRequest(),
-               FrameType::kMetricsResponse, &response, control);
-  WireMetricsResponse resp;
-  if (status.ok()) {
-    status = DecodeMetricsResponse(response.body, &resp);
-  }
-  if (!status.ok()) {
-    transport_errors_.fetch_add(1, std::memory_order_relaxed);
-    LogTransportError("get_metrics", 0, status);
-    if (status.code() == StatusCode::kIoError) {
-      wire_errors_.fetch_add(1, std::memory_order_relaxed);
-      if (errors_corrupt_counter_ != nullptr) {
-        errors_corrupt_counter_->Increment();
-      }
-      return Status::Unavailable("net: corrupt response frame: " +
-                                 status.message());
-    }
-    return status;
-  }
-  responses_ok_.fetch_add(1, std::memory_order_relaxed);
-  Release(std::move(sock));
-  const StatusCode code = StatusCodeFromWire(resp.code);
-  if (code != StatusCode::kOk) {
-    return Status(code, "remote: " + resp.message);
-  }
-  return resp;
+  return AdminCall("get_metrics", FrameType::kMetricsRequest,
+                   EncodeMetricsRequest(), FrameType::kMetricsResponse,
+                   &DecodeMetricsResponse, deadline);
 }
 
 Result<WireProfileResponse> RemoteSearcherClient::GetProfile(
     const Deadline& deadline) {
-  const ScanControl control{deadline, CancellationToken()};
-  Result<Socket> acquired = Acquire(control);
-  if (!acquired.ok()) return acquired.status();
-  Socket sock = std::move(acquired).value();
-
-  Frame response;
-  Status status =
-      Exchange(&sock, FrameType::kProfileRequest, EncodeProfileRequest(),
-               FrameType::kProfileResponse, &response, control);
-  WireProfileResponse resp;
-  if (status.ok()) {
-    status = DecodeProfileResponse(response.body, &resp);
-  }
-  if (!status.ok()) {
-    transport_errors_.fetch_add(1, std::memory_order_relaxed);
-    LogTransportError("get_profile", 0, status);
-    if (status.code() == StatusCode::kIoError) {
-      wire_errors_.fetch_add(1, std::memory_order_relaxed);
-      if (errors_corrupt_counter_ != nullptr) {
-        errors_corrupt_counter_->Increment();
-      }
-      return Status::Unavailable("net: corrupt response frame: " +
-                                 status.message());
-    }
-    return status;
-  }
-  responses_ok_.fetch_add(1, std::memory_order_relaxed);
-  Release(std::move(sock));
-  const StatusCode code = StatusCodeFromWire(resp.code);
-  if (code != StatusCode::kOk) {
-    return Status(code, "remote: " + resp.message);
-  }
-  return resp;
+  return AdminCall("get_profile", FrameType::kProfileRequest,
+                   EncodeProfileRequest(), FrameType::kProfileResponse,
+                   &DecodeProfileResponse, deadline);
 }
 
 Status RemoteSearcherClient::Ping(const Deadline& deadline) {

@@ -135,6 +135,18 @@ class RemoteSearcherClient {
                   const std::vector<uint8_t>& request_body,
                   FrameType expected_response, Frame* response,
                   const ScanControl& control);
+  /// One admin round trip (GetInfo / GetMetrics / GetProfile): acquire →
+  /// exchange → decode → release. A transport or decode error poisons the
+  /// connection, is logged as `op`, and a corrupt frame maps to a
+  /// retryable kUnavailable counted as a wire error; a non-OK server
+  /// verdict comes back as its status.
+  template <typename Response>
+  Result<Response> AdminCall(const char* op, FrameType request_type,
+                             const std::vector<uint8_t>& request_body,
+                             FrameType response_type,
+                             Status (*decode)(const std::vector<uint8_t>&,
+                                              Response*),
+                             const Deadline& deadline);
   void RegisterMetrics();
 
   Endpoint endpoint_;

@@ -4,7 +4,7 @@
 //  * Counter — monotonically increasing, sharded across cache lines so the
 //    hot path pays one relaxed fetch_add with no cross-core contention.
 //  * Gauge — a point-in-time double (set/add); callback gauges are read at
-//    render time (breaker state, queue depth).
+//    render time (replica health, queue depth).
 //  * Histogram — log-bucketed (factor-2 octaves split into 4 sub-buckets,
 //    ~19% relative resolution) with sharded bucket counters; Snapshot()
 //    merges shards and answers p50/p95/p99 with bucket-bound guarantees:
@@ -220,8 +220,8 @@ class MetricsRegistry {
   /// format wants every family documented, even tersely.
   void SetHelp(const std::string& base_name, const std::string& help);
 
-  /// A gauge whose value is computed at render/snapshot time (e.g. breaker
-  /// state). The callback must be safe to invoke from any thread for the
+  /// A gauge whose value is computed at render/snapshot time (e.g. replica
+  /// health). The callback must be safe to invoke from any thread for the
   /// registry's lifetime; re-registering a name replaces the callback.
   void RegisterCallbackGauge(const std::string& name,
                              std::function<double()> fn);

@@ -243,19 +243,20 @@ std::string QualityFormatDouble(double v) {
 std::string SlowQueryLog::RenderJsonl() const {
   std::string out;
   for (const SlowQueryRecord& rec : Snapshot()) {
+    const ScanStats& scan = rec.explain.scan;
     out += "{\"id\":" + std::to_string(rec.id) + ",\"kind\":\"" +
            QualityJsonEscape(rec.kind) + "\",\"outcome\":\"" +
            QualityJsonEscape(rec.outcome) + "\",\"trace_id\":\"" +
            TraceIdHex(rec.trace_id) +
            "\",\"latency_seconds\":" + QualityFormatDouble(rec.latency_seconds) +
            ",\"recall\":" + QualityFormatDouble(rec.recall) +
-           ",\"explain\":{\"chunks\":" + std::to_string(rec.explain.chunks) +
-           ",\"items\":" + std::to_string(rec.explain.items) +
-           ",\"probed_cells\":" + std::to_string(rec.explain.probed_cells) +
+           ",\"explain\":{\"chunks\":" + std::to_string(scan.chunks) +
+           ",\"items\":" + std::to_string(scan.items) +
+           ",\"probed_cells\":" + std::to_string(scan.probed_cells) +
            ",\"cpu_ns\":" + std::to_string(rec.explain.cpu_ns) +
-           ",\"codes_decoded\":" + std::to_string(rec.explain.codes_decoded) +
-           ",\"lut_builds\":" + std::to_string(rec.explain.lut_builds) +
-           ",\"shortlist\":" + std::to_string(rec.explain.shortlist) +
+           ",\"codes_decoded\":" + std::to_string(scan.codes_decoded) +
+           ",\"lut_builds\":" + std::to_string(scan.lut_builds) +
+           ",\"shortlist\":" + std::to_string(scan.shortlist) +
            ",\"degraded\":" + (rec.explain.degraded ? "true" : "false") +
            ",\"flat_fallback\":" +
            (rec.explain.flat_fallback ? "true" : "false") +

@@ -28,6 +28,7 @@
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/util/deadline.h"
 #include "src/util/status.h"
 
 namespace lightlt::obs {
@@ -159,20 +160,14 @@ class DriftDetector {
   uint64_t fire_count_ = 0;
 };
 
-/// Per-query scan accounting composed by the serving layer from
-/// util::ScanStats plus its own lifecycle flags — the "explain" part of a
-/// slow-query record.
+/// One request's resource vector and lifecycle flags (DESIGN.md §16): the
+/// "explain" part of a slow-query record, and what RequestOptions::cost
+/// receives. It explains *what the request cost*, not only how long it
+/// took.
 struct ExplainRecord {
-  uint64_t chunks = 0;        ///< scan chunks / probed cells executed
-  uint64_t items = 0;         ///< vectors scored
-  uint64_t probed_cells = 0;  ///< IVF cells probed (0 on flat scans)
-  // Resource vector (DESIGN.md §16): per-phase compute from ScanStats plus
-  // the request's thread-CPU time, so a slow-query record explains *what
-  // the request cost*, not only how long it took.
-  uint64_t cpu_ns = 0;         ///< serving-thread CPU time for the request
-  uint64_t codes_decoded = 0;  ///< quantized codes expanded for exact scores
-  uint64_t lut_builds = 0;     ///< per-query ADC lookup-table constructions
-  uint64_t shortlist = 0;      ///< fast-scan candidates sent to re-rank
+  /// Scan accounting, summed over the shards that scanned.
+  ScanStats scan;
+  uint64_t cpu_ns = 0;        ///< serving-thread CPU time for the request
   bool degraded = false;      ///< admitted in degraded mode
   bool flat_fallback = false; ///< IVF path failed/short; flat scan served
   /// Fan-out attribution: fraction of database rows behind the answer,

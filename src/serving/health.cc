@@ -199,8 +199,7 @@ void ReplicaHealthMonitor::RecordAbandoned(size_t shard, size_t replica) {
   std::lock_guard<std::mutex> lock(mu_);
   Cell& cell = CellAt(shard, replica);
   ReleaseProbeLocked(&cell);
-  // No verdict: streaks and state untouched, mirroring
-  // CircuitBreaker::RecordAbandoned.
+  // No verdict: streaks and state untouched.
 }
 
 ReplicaHealth ReplicaHealthMonitor::state(size_t shard,

@@ -22,10 +22,10 @@
 // and need `successes_to_recover` consecutive successes to clear, so one
 // good reply cannot mask a flapping replica. DOWN replicas serve nothing;
 // after `down_cooldown_seconds` they are promoted to PROBING, where at most
-// `probe_budget` concurrent probe attempts are allowed through (the
-// half-open pattern of the CircuitBreaker, per replica). Successes slower
-// than `slow_latency_seconds` count as failure signals — a replica that
-// answers too late is as useless as one that errors.
+// `probe_budget` concurrent probe attempts are allowed through (a
+// half-open state, per replica). Successes slower than
+// `slow_latency_seconds` count as failure signals — a replica that answers
+// too late is as useless as one that errors.
 //
 // Thread-safe: the router's scatter tasks record signals from pool workers.
 // Every served request passes through here, so the common case — a
@@ -165,8 +165,7 @@ class ReplicaHealthMonitor {
   mutable std::mutex mu_;
   /// Flat [shard * num_replicas + replica]; states are mutable through
   /// const observers (state(), ShardServable()) because a DOWN cell whose
-  /// cooldown elapsed must read as PROBING as soon as the clock allows,
-  /// mirroring CircuitBreaker::MaybeHalfOpenLocked.
+  /// cooldown elapsed must read as PROBING as soon as the clock allows.
   mutable std::vector<Cell> cells_;
   /// Per cell: HEALTHY with a zero failure streak. Written under mu_ after
   /// every transition, read without it on the hot path.

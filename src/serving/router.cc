@@ -275,10 +275,23 @@ RoutedResult Router::Search(const float* query, size_t top_k,
   return result;
 }
 
+obs::ExplainRecord ExplainRouted(const RoutedResult& routed,
+                                 const ScanStats* scan, uint64_t cpu_ns,
+                                 bool degraded) {
+  obs::ExplainRecord explain;
+  if (scan != nullptr) explain.scan = *scan;
+  explain.cpu_ns = cpu_ns;
+  explain.degraded = degraded;
+  explain.flat_fallback = routed.flat_fallback;
+  explain.coverage = routed.coverage;
+  explain.shards_answered = routed.shards_answered;
+  explain.failovers = routed.failovers;
+  return explain;
+}
+
 void MaybeCaptureSlowQuery(obs::SlowQueryLog* log, const RoutedResult& routed,
                            double elapsed_seconds, const obs::Trace* trace,
-                           const ScanStats* scan, uint64_t cpu_ns,
-                           bool degraded) {
+                           const obs::ExplainRecord& explain) {
   if (log == nullptr || log->options().latency_threshold_seconds <= 0.0 ||
       elapsed_seconds < log->options().latency_threshold_seconds) {
     return;
@@ -289,20 +302,7 @@ void MaybeCaptureSlowQuery(obs::SlowQueryLog* log, const RoutedResult& routed,
       routed.status.ok() ? "ok" : Status::CodeName(routed.status.code());
   record.trace_id = trace != nullptr ? trace->trace_id() : 0;
   record.latency_seconds = elapsed_seconds;
-  if (scan != nullptr) {
-    record.explain.chunks = scan->chunks;
-    record.explain.items = scan->items;
-    record.explain.probed_cells = scan->probed_cells;
-    record.explain.codes_decoded = scan->codes_decoded;
-    record.explain.lut_builds = scan->lut_builds;
-    record.explain.shortlist = scan->shortlist;
-  }
-  record.explain.cpu_ns = cpu_ns;
-  record.explain.degraded = degraded;
-  record.explain.flat_fallback = routed.flat_fallback;
-  record.explain.coverage = routed.coverage;
-  record.explain.shards_answered = routed.shards_answered;
-  record.explain.failovers = routed.failovers;
+  record.explain = explain;
   // The request's root span is typically still open here; closed child
   // spans — including stitched remote subtrees with shard attribution —
   // carry the useful timing.

@@ -89,20 +89,25 @@ struct RoutedResult {
   bool flat_fallback = false;
 };
 
+/// The explain record of one routed query: coverage / shards-answered /
+/// failover attribution and the fallback bit from `routed`, the scan
+/// accounting from `scan` (when non-null), and the request's CPU time and
+/// degraded flag.
+obs::ExplainRecord ExplainRouted(const RoutedResult& routed,
+                                 const ScanStats* scan = nullptr,
+                                 uint64_t cpu_ns = 0, bool degraded = false);
+
 /// Captures one routed query into a slow-query explain ring when it
-/// crossed the ring's latency threshold: terminal outcome, coverage /
-/// shards-answered / failover attribution and the fallback bit from
-/// `routed`, the scan "explain" fields from `scan` (when non-null), the
-/// request's CPU time and degraded flag, and the full span tree (stitched
-/// remote subtrees carry per-span shard attribution). Null `log` and
-/// untraced requests are fine; sub-threshold queries are ignored.
-/// RetrievalService calls this for every admitted request; callers driving
-/// Router directly (e.g. over a RemoteTransport) use it to get the same
-/// ring records.
+/// crossed the ring's latency threshold: terminal outcome from `routed`,
+/// `explain`, and the full span tree (stitched remote subtrees carry
+/// per-span shard attribution). Null `log` and untraced requests are fine;
+/// sub-threshold queries are ignored. RetrievalService calls this for
+/// every admitted request; callers driving Router directly (e.g. over a
+/// RemoteTransport) pass ExplainRouted(routed) to get the same ring
+/// records.
 void MaybeCaptureSlowQuery(obs::SlowQueryLog* log, const RoutedResult& routed,
                            double elapsed_seconds, const obs::Trace* trace,
-                           const ScanStats* scan = nullptr, uint64_t cpu_ns = 0,
-                           bool degraded = false);
+                           const obs::ExplainRecord& explain);
 
 /// Scatter-gather search over a SearchTransport with health-driven
 /// failover. Transport-agnostic: in-process ShardSet and remote shard

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <exception>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "src/core/pipeline.h"
@@ -29,28 +28,6 @@ bool RowFinite(const Matrix& m, size_t row) {
     if (!std::isfinite(data[j])) return false;
   }
   return true;
-}
-
-/// The grid's breakers as one: the most open state (open, then half-open,
-/// then closed), and open transitions summed over replicas. Closed with
-/// zero transitions without IVF.
-std::pair<BreakerState, uint64_t> GridBreaker(const ShardSet& shards) {
-  BreakerState state = BreakerState::kClosed;
-  uint64_t open_transitions = 0;
-  for (size_t s = 0; s < shards.num_shards(); ++s) {
-    for (size_t r = 0; r < shards.num_replicas(); ++r) {
-      const auto& breaker = shards.searcher(s, r).breaker();
-      if (breaker == nullptr) continue;
-      const BreakerState replica = breaker->state();
-      if (replica == BreakerState::kOpen ||
-          (replica == BreakerState::kHalfOpen &&
-           state == BreakerState::kClosed)) {
-        state = replica;
-      }
-      open_transitions += breaker->open_transitions();
-    }
-  }
-  return {state, open_transitions};
 }
 
 }  // namespace
@@ -164,7 +141,7 @@ Result<RetrievalService> RetrievalService::Build(
   std::vector<std::vector<uint32_t>> codes;
   model->dsq().Encode(embedded, &codes);
 
-  // The index is a grid of breaker-gated flat-ADC + optional-IVF + rerank
+  // The index is a grid of flat-ADC or IVF (with flat fallback) + rerank
   // replicas behind health-driven failover; single-node is the 1 x 1 grid.
   // Every replica records into the same "adc_*"/"ivf_*" instruments and
   // serving_flat_fallbacks_total, so names do not depend on the topology.
@@ -175,7 +152,6 @@ Result<RetrievalService> RetrievalService::Build(
   shard_options.searcher.exact_rerank = options.exact_rerank;
   shard_options.searcher.use_ivf = options.use_ivf;
   shard_options.searcher.ivf = options.ivf;
-  shard_options.searcher.breaker = options.breaker;
   shard_options.replica_admission = options.replica_admission;
   auto shards =
       ShardSet::Build(embedded, model->Codebooks(), codes, shard_options);
@@ -183,19 +159,6 @@ Result<RetrievalService> RetrievalService::Build(
   auto shard_set = std::make_shared<ShardSet>(std::move(shards).value());
   shard_set->Instrument(service.metrics_.get(), service.inst_.flat_fallbacks);
   service.shards_ = shard_set;
-  if (options.use_ivf) {
-    std::shared_ptr<const ShardSet> grid = service.shards_;
-    service.metrics_->RegisterCallbackGauge(
-        "serving_breaker_state", [grid]() {
-          // 0 closed, 1 open, 2 half-open.
-          return static_cast<double>(
-              static_cast<int>(GridBreaker(*grid).first));
-        });
-    service.metrics_->RegisterCallbackGauge(
-        "serving_breaker_open_transitions", [grid]() {
-          return static_cast<double>(GridBreaker(*grid).second);
-        });
-  }
   service.health_ = std::make_shared<ReplicaHealthMonitor>(
       options.num_shards, options.num_replicas, options.health);
   service.health_->InstrumentGauges(service.metrics_.get(), "serving_",
@@ -277,9 +240,7 @@ ServiceStats StatsSince(const ServiceStats& later,
   window.failovers -= earlier.failovers;
   window.timeouts -= earlier.timeouts;
   window.health_transitions -= earlier.health_transitions;
-  window.breaker_open_transitions -= earlier.breaker_open_transitions;
-  // in_flight and breaker_state are instantaneous, not cumulative: keep
-  // the later reading.
+  // in_flight is instantaneous, not cumulative: keep the later reading.
   window.served_latency = later.served_latency.Delta(earlier.served_latency);
   window.coverage = later.coverage.Delta(earlier.coverage);
   return window;
@@ -323,7 +284,7 @@ void RetrievalService::TickDrift() const {
 Result<std::vector<ServedHit>> RetrievalService::ServeEmbedded(
     const float* query, size_t top_k, const ScanControl& control,
     size_t observed_depth, obs::Trace* trace, const obs::Span* parent,
-    int class_bucket, RequestCost* cost) const {
+    int class_bucket, obs::ExplainRecord* cost) const {
   WallTimer timer;
   obs::ProfilePhase request_phase("request");
   // The whole post-embedding lifecycle runs on this thread (per-query scan
@@ -332,32 +293,28 @@ Result<std::vector<ServedHit>> RetrievalService::ServeEmbedded(
   // and several shards, scans on other workers are not in it.
   const uint64_t cpu_start = obs::ThreadCpuNowNanos();
   RoutedResult routed;
+  bool degraded = false;
+  obs::ExplainRecord explain;
   // Rolls the request's resource vector into the segmented cost counters
   // (overall always; head/mid/tail when the caller told us the bucket) and
-  // hands it to the caller's RequestCost. Runs on every terminal path so
+  // hands it to the caller's `cost`. Runs on every terminal path so
   // conservation holds: the sum of per-request vectors equals the counter
   // deltas exactly.
   const auto account_cost = [&]() {
     const uint64_t cpu_end = obs::ThreadCpuNowNanos();
-    const uint64_t cpu_ns = cpu_end > cpu_start ? cpu_end - cpu_start : 0;
-    const ScanStats scan =
-        control.stats != nullptr ? *control.stats : ScanStats{};
+    explain = ExplainRouted(routed, control.stats,
+                            cpu_end > cpu_start ? cpu_end - cpu_start : 0,
+                            degraded);
+    const ScanStats& scan = explain.scan;
     for (size_t s = 0; s < obs::kNumRecallSegments; ++s) {
       if (s != 0 && static_cast<int>(s) != class_bucket + 1) continue;
-      inst_.cost_cpu_ns[s]->Increment(cpu_ns);
+      inst_.cost_cpu_ns[s]->Increment(explain.cpu_ns);
       inst_.cost_items[s]->Increment(scan.items);
       inst_.cost_codes_decoded[s]->Increment(scan.codes_decoded);
       inst_.cost_lut_builds[s]->Increment(scan.lut_builds);
       inst_.cost_shortlist[s]->Increment(scan.shortlist);
     }
-    if (cost != nullptr) {
-      cost->cpu_ns = cpu_ns;
-      cost->scan = scan;
-      cost->coverage = routed.coverage;
-      cost->shards_answered = routed.shards_answered;
-      cost->failovers = routed.failovers;
-    }
-    return cpu_ns;
+    if (cost != nullptr) *cost = explain;
   };
 
   // A request that arrives already expired or cancelled consumes no
@@ -381,7 +338,7 @@ Result<std::vector<ServedHit>> RetrievalService::ServeEmbedded(
     return Status::Unavailable("RetrievalService: overloaded, request shed");
   }
   AdmissionTicket ticket(admission_.get());
-  const bool degraded = outcome == AdmissionOutcome::kDegrade;
+  degraded = outcome == AdmissionOutcome::kDegrade;
   inst_.admitted->Increment();
   if (degraded) {
     inst_.degraded_admissions->Increment();
@@ -414,9 +371,8 @@ Result<std::vector<ServedHit>> RetrievalService::ServeEmbedded(
   } else {
     CountOutcome(routed.status, elapsed);
   }
-  const uint64_t cpu_ns = account_cost();
-  MaybeCaptureSlowQuery(slow_log_.get(), routed, elapsed, trace, control.stats,
-                        cpu_ns, degraded);
+  account_cost();
+  MaybeCaptureSlowQuery(slow_log_.get(), routed, elapsed, trace, explain);
   if (!routed.status.ok()) return routed.status;
 
   std::vector<ServedHit> hits(routed.hits.size());
@@ -574,8 +530,6 @@ ServiceStats RetrievalService::Stats() const {
   s.in_flight = admission_->InFlight();
   s.served_latency = inst_.latency_served->Snapshot();
   s.coverage = inst_.coverage->Snapshot();
-  std::tie(s.breaker_state, s.breaker_open_transitions) =
-      GridBreaker(*shards_);
   return s;
 }
 

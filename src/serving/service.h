@@ -13,11 +13,11 @@
 // database features, consistent dimensions), non-finite query features are
 // rejected as InvalidArgument, and an IVF search that fails or comes up
 // short degrades to the always-present flat ADC scan instead of failing the
-// query (observable via Stats().flat_fallbacks / degraded_query_count()).
+// query (observable via Stats().flat_fallbacks).
 //
 // Request lifecycle (DESIGN.md §9): every query passes through
 //   deadline/cancel check → admission → router → per shard:
-//   (breaker-gated IVF | flat scan) → rerank → merge → served
+//   (IVF, flat scan on its failure | flat scan) → rerank → merge → served
 // and ends in exactly one outcome — served, partial (coverage < 1), shed
 // (refused by admission), expired (kDeadlineExceeded), cancelled
 // (kCancelled) or failed — all visible in the ServiceStats snapshot.
@@ -38,7 +38,6 @@
 #include "src/obs/quality.h"
 #include "src/obs/trace.h"
 #include "src/serving/admission.h"
-#include "src/serving/circuit_breaker.h"
 #include "src/serving/health.h"
 #include "src/serving/router.h"
 #include "src/serving/shadow.h"
@@ -82,8 +81,6 @@ struct ServiceOptions {
   /// Overload policy: in-flight caps, backlog shedding, token bucket.
   /// Defaults leave every limit off (always admit).
   AdmissionOptions admission;
-  /// Circuit breaker around the IVF path; irrelevant without use_ivf.
-  CircuitBreakerOptions breaker;
   /// Items scanned between deadline/cancellation checks inside index scan
   /// loops; bounds deadline overshoot to roughly one chunk of work.
   size_t scan_check_every = 1024;
@@ -116,21 +113,6 @@ struct ServiceOptions {
   RouterOptions router;
 };
 
-/// Per-request resource vector (DESIGN.md §16): what one request actually
-/// cost, not just how long it took. cpu_ns is the serving thread's CPU time
-/// across the post-embedding lifecycle (CLOCK_THREAD_CPUTIME_ID delta), the
-/// scan stats are the index layer's exact per-request accounting.
-struct RequestCost {
-  uint64_t cpu_ns = 0;
-  /// Sum of the shards' scan accounting.
-  ScanStats scan;
-  /// Fan-out: fraction of database rows behind the answer, shards that
-  /// answered, and replica attempts beyond the first.
-  double coverage = 0.0;
-  uint32_t shards_answered = 0;
-  uint32_t failovers = 0;
-};
-
 /// Per-request lifecycle knobs. Default: no deadline, not cancellable.
 struct RequestOptions {
   Deadline deadline;
@@ -141,10 +123,13 @@ struct RequestOptions {
   /// costs one branch per span site. QueryBatch rows are not traced
   /// (metrics cover the aggregate path).
   obs::Trace* trace = nullptr;
-  /// When set, Query() fills it with the request's resource vector. Must
-  /// outlive the call and belong to this request alone, so QueryBatch
-  /// (one shared RequestOptions across rows) leaves it null.
-  RequestCost* cost = nullptr;
+  /// When set, Query() fills it with the request's resource vector
+  /// (DESIGN.md §16): cpu_ns is the serving thread's CPU time across the
+  /// post-embedding lifecycle (CLOCK_THREAD_CPUTIME_ID delta), the scan
+  /// stats the index layer's exact per-request accounting. Must outlive
+  /// the call and belong to this request alone, so QueryBatch (one shared
+  /// RequestOptions across rows) leaves it null.
+  obs::ExplainRecord* cost = nullptr;
   /// Head/mid/tail class-frequency bucket of the query (0/1/2), -1 when
   /// unknown. Routes the serving_cost_* counters' segment label so per-
   /// segment cost accounting mirrors the recall estimator's segmentation.
@@ -172,9 +157,7 @@ struct ServiceStats {
   uint64_t failovers = 0;   // replica attempts beyond the first
   uint64_t timeouts = 0;    // attempts that burned their sub-deadline
   uint64_t health_transitions = 0;  // replica health state changes
-  uint64_t breaker_open_transitions = 0;  // summed over replicas
   uint64_t in_flight = 0;
-  BreakerState breaker_state = BreakerState::kClosed;  // most open replica
   /// Served-request latency distribution at snapshot time (cumulative).
   obs::HistogramSnapshot served_latency;
   /// Coverage of successful (served + partial) requests.
@@ -231,13 +214,6 @@ class RetrievalService {
   /// ServiceOptions::metrics supplied one). Render with
   /// Metrics().RenderText() for Prometheus-style exposition.
   obs::MetricsRegistry& Metrics() const { return *metrics_; }
-
-  /// Number of queries served by the flat-scan fallback because the IVF
-  /// path failed, came up short, or was breaker-disallowed. Always 0 when
-  /// IVF is not enabled. (Alias of Stats().flat_fallbacks.)
-  uint64_t degraded_query_count() const {
-    return inst_.flat_fallbacks ? inst_.flat_fallbacks->Value() : 0;
-  }
 
   /// The shadow verifier, when ServiceOptions::shadow enabled one.
   ShadowVerifier* Shadow() const { return shadow_.get(); }
@@ -314,7 +290,7 @@ class RetrievalService {
                                                obs::Trace* trace,
                                                const obs::Span* parent,
                                                int class_bucket,
-                                               RequestCost* cost) const;
+                                               obs::ExplainRecord* cost) const;
 
   /// Drift self-monitoring state: the detector plus the served-query
   /// cadence that freezes the baseline and paces CheckAll sweeps.

@@ -36,7 +36,6 @@ Result<ReplicaSearcher> ReplicaSearcher::Build(
     if (!ivf.ok()) return ivf.status();
     searcher.ivf_ =
         std::make_unique<index::IvfAdcIndex>(std::move(ivf).value());
-    searcher.breaker_ = std::make_shared<CircuitBreaker>(options.breaker);
     return searcher;
   }
   auto adc = index::AdcIndex::Build(codebooks, codes);
@@ -72,28 +71,17 @@ Result<std::vector<index::SearchHit>> ReplicaSearcher::Search(
     // Graceful degradation: the store covers the whole partition, so if
     // the IVF path fails or its probed cells yield fewer candidates than a
     // scan of every cell would, fall back rather than fail or silently
-    // shortchange the caller. Repeated failures open the breaker, which
-    // routes straight to the full scan until a cooldown probe succeeds.
-    const size_t expected = std::min(pool, codes.num_items());
-    if (breaker_->AllowRequest()) {
-      auto ivf_hits = ivf_->SearchSlots(query, pool, control, /*nprobe=*/0);
-      if (ivf_hits.ok()) {
-        if (ivf_hits.value().size() >= expected) {
-          breaker_->RecordSuccess();
-          hits = std::move(ivf_hits).value();
-          have_hits = true;
-        } else {
-          breaker_->RecordFailure();  // shortfall
-        }
-      } else if (ivf_hits.status().code() == StatusCode::kDeadlineExceeded ||
-                 ivf_hits.status().code() == StatusCode::kCancelled) {
-        // The request ran out of budget mid-scan — that says nothing about
-        // IVF health, so the breaker gets no verdict.
-        breaker_->RecordAbandoned();
-        return ivf_hits.status();
-      } else {
-        breaker_->RecordFailure();
+    // shortchange the caller. A deadline or cancel ends the request
+    // instead: the budget is spent either way.
+    auto ivf_hits = ivf_->SearchSlots(query, pool, control, /*nprobe=*/0);
+    if (ivf_hits.ok()) {
+      if (ivf_hits.value().size() >= std::min(pool, codes.num_items())) {
+        hits = std::move(ivf_hits).value();
+        have_hits = true;
       }
+    } else if (ivf_hits.status().code() == StatusCode::kDeadlineExceeded ||
+               ivf_hits.status().code() == StatusCode::kCancelled) {
+      return ivf_hits.status();
     }
     if (!have_hits) {
       if (flat_fallbacks_ != nullptr) flat_fallbacks_->Increment();
@@ -176,7 +164,7 @@ Result<ShardSet> ShardSet::Build(
       [&](const Matrix& part,
           const std::vector<std::vector<uint32_t>>& part_codes) -> Status {
     for (size_t r = 0; r < options.num_replicas; ++r) {
-      // Replicas are deliberately independent copies — index, breaker and
+      // Replicas are deliberately independent copies — index and
       // admission budget — so per-replica failure injection and health
       // verdicts model real isolated processes.
       auto searcher =

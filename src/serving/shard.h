@@ -2,9 +2,9 @@
 //
 // ReplicaSearcher is the single-partition search engine: one code store
 // covering its partition — a flat ADC index, or the cell-ordered store of
-// an IVF index behind a CircuitBreaker — and the optional exact re-rank,
-// with a degradation ladder (breaker-gated IVF → scan of every cell) and
-// deterministic (distance, id) ordering. A ShardSet owns a grid of them;
+// an IVF index — and the optional exact re-rank, with a per-request
+// fallback (IVF → scan of every cell) and deterministic (distance, id)
+// ordering. A ShardSet owns a grid of them;
 // a single-node RetrievalService is the 1 x 1 grid.
 //
 // ShardSet partitions a database's rows into `num_shards` contiguous
@@ -29,7 +29,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/serving/admission.h"
-#include "src/serving/circuit_breaker.h"
 #include "src/tensor/matrix.h"
 #include "src/util/deadline.h"
 #include "src/util/status.h"
@@ -45,13 +44,10 @@ struct SearcherOptions {
   /// Use the IVF-accelerated index.
   bool use_ivf = false;
   index::IvfOptions ivf;
-  /// Circuit breaker around the IVF path; irrelevant without use_ivf.
-  CircuitBreakerOptions breaker;
 };
 
-/// One partition's breaker-gated search engine over one code store: flat
-/// ADC, or IVF whose store a flat fallback scans whole; optional exact
-/// re-rank. Moveable; not copyable.
+/// One partition's search engine over one code store: flat ADC, or IVF
+/// whose store a flat fallback scans whole; optional exact re-rank. Moveable; not copyable.
 class ReplicaSearcher {
  public:
   /// `embedded` is the partition's embedded vectors (rows of the database
@@ -61,9 +57,10 @@ class ReplicaSearcher {
       const std::vector<std::vector<uint32_t>>& codes,
       const SearcherOptions& options);
 
-  /// Candidate retrieval + rerank with graceful degradation: IVF behind
-  /// the breaker, flat fallback on IVF failure/shortfall, deterministic
-  /// (distance, id) order. `degraded` skips the optional work (IVF path,
+  /// Candidate retrieval + rerank with graceful degradation: IVF first,
+  /// and the flat scan of the same store whenever this request's IVF
+  /// search fails (other than by deadline or cancel) or comes up short;
+  /// deterministic (distance, id) order. `degraded` skips the optional work (IVF path,
   /// over-fetch, rerank). `used_fallback` (may be null) reports whether the
   /// flat scan served although IVF was enabled. Span names: ivf_route /
   /// adc_scan / rerank under `parent` when `trace` is non-null.
@@ -86,9 +83,6 @@ class ReplicaSearcher {
   size_t MemoryBytes() const {
     return ivf_ ? ivf_->MemoryBytes() : adc_->MemoryBytes();
   }
-  bool has_ivf() const { return ivf_ != nullptr; }
-  /// Null unless IVF is enabled. Shared so callback gauges can co-own it.
-  const std::shared_ptr<CircuitBreaker>& breaker() const { return breaker_; }
 
  private:
   ReplicaSearcher() = default;
@@ -97,10 +91,9 @@ class ReplicaSearcher {
   const index::AdcIndex& store() const { return ivf_ ? ivf_->store() : *adc_; }
 
   SearcherOptions options_;
-  std::unique_ptr<index::AdcIndex> adc_;     // null when IVF is enabled
+  std::unique_ptr<index::AdcIndex> adc_;  // null when IVF is enabled
   std::unique_ptr<index::IvfAdcIndex> ivf_;
-  std::shared_ptr<CircuitBreaker> breaker_;  // null unless IVF enabled
-  obs::Counter* flat_fallbacks_ = nullptr;   // null until instrumented
+  obs::Counter* flat_fallbacks_ = nullptr;  // null until instrumented
 };
 
 /// Configuration of a ShardSet grid.
@@ -142,7 +135,7 @@ class ShardSet {
                                 const ShardSetOptions& options);
 
   /// One search attempt on (shard, replica): chaos hook → admission →
-  /// breaker-gated search, local ids translated to global. The search
+  /// ReplicaSearcher::Search, local ids translated to global. The search
   /// runs degraded when `control.degraded` or the replica's own admission
   /// says so. Never throws; all failure modes land in
   /// ReplicaAttempt::status.

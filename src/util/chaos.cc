@@ -71,11 +71,12 @@ ChaosCounters ChaosCountersSnapshot() {
 
 Status ChaosOnIvfSearch() {
   if (!ChaosArmed()) return Status::Ok();
+  // Counted before the hold gate, so a test can wait for a pinned search.
+  const uint64_t n = g_ivf_searches.fetch_add(1) + 1;
   {
     std::unique_lock<std::mutex> lock(g_hold_mu);
     g_hold_cv.wait(lock, [] { return !g_hold_ivf; });
   }
-  const uint64_t n = g_ivf_searches.fetch_add(1) + 1;
   if (g_plan.ivf_fail_first_n > 0 &&
       n <= static_cast<uint64_t>(g_plan.ivf_fail_first_n)) {
     g_ivf_failures.fetch_add(1);

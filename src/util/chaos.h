@@ -39,8 +39,8 @@ struct ReplicaFault {
 };
 
 struct ChaosPlan {
-  /// The first N IVF searches fail with kUnavailable (0 = off). Drives the
-  /// serving circuit breaker through its failure transitions.
+  /// The first N IVF searches fail with kUnavailable (0 = off). Each one
+  /// drives its request onto the serving flat fallback.
   int ivf_fail_first_n = 0;
   /// Injected latency before every scan chunk (flat ADC chunks and IVF
   /// cells), simulating a slow machine so short deadlines expire
@@ -84,7 +84,8 @@ Status ChaosOnScanChunk();
 Status ChaosOnReplicaSearch(size_t shard, size_t replica);
 
 /// Gate for pinning requests inside the IVF path. HoldIvf(true) makes every
-/// subsequent ChaosOnIvfSearch() block until HoldIvf(false).
+/// subsequent ChaosOnIvfSearch() block until HoldIvf(false); a blocked
+/// search already counts in ChaosCounters::ivf_searches.
 void HoldIvf(bool hold);
 
 /// Deterministic pool starvation: occupies `threads` workers of `pool` with

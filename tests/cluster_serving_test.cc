@@ -93,8 +93,8 @@ uint64_t TotalOutcomes(const ServiceStats& s) {
 /// One query with its resource vector, whose fan-out fields say how much
 /// of the database stood behind the answer.
 Result<std::vector<ServedHit>> QueryWithCost(const RetrievalService& service,
-                                             const Matrix& query,
-                                             size_t top_k, RequestCost* cost,
+                                             const Matrix& query, size_t top_k,
+                                             obs::ExplainRecord* cost,
                                              RequestOptions request = {}) {
   request.cost = cost;
   return service.Query(query, top_k, request);
@@ -203,80 +203,6 @@ TEST(ReplicaHealthTest, CandidatesPreferenceOrderIsDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// Circuit breaker: abandoned verdicts and concurrent half-open probes
-// ---------------------------------------------------------------------------
-
-TEST(ClusterBreakerTest, RecordAbandonedPreservesStreakAndReleasesProbe) {
-  double now = 0.0;
-  CircuitBreakerOptions opts;
-  opts.failure_threshold = 2;
-  opts.cooldown_seconds = 5.0;
-  opts.half_open_successes_to_close = 1;
-  opts.half_open_max_probes = 1;
-  opts.clock = [&now] { return now; };
-  CircuitBreaker b(opts);
-
-  EXPECT_TRUE(b.AllowRequest());
-  b.RecordFailure();  // streak 1
-  EXPECT_TRUE(b.AllowRequest());
-  b.RecordAbandoned();  // no verdict: streak stays 1, state stays closed
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-  EXPECT_TRUE(b.AllowRequest());
-  b.RecordFailure();  // streak 2 -> open (abandoned did NOT reset it)
-  EXPECT_EQ(b.state(), BreakerState::kOpen);
-
-  now = 5.0;
-  EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
-  EXPECT_TRUE(b.AllowRequest());   // probe slot 1/1
-  EXPECT_FALSE(b.AllowRequest());  // probe budget exhausted
-  b.RecordAbandoned();             // releases the slot, still half-open
-  EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
-  EXPECT_TRUE(b.AllowRequest());
-  b.RecordSuccess();
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-}
-
-TEST(ClusterBreakerTest, ConcurrentHalfOpenProbesRespectTheBudget) {
-  std::atomic<double> now{0.0};
-  CircuitBreakerOptions opts;
-  opts.failure_threshold = 1;
-  opts.cooldown_seconds = 1.0;
-  opts.half_open_max_probes = 2;
-  opts.half_open_successes_to_close = 64;  // stays half-open throughout
-  opts.clock = [&now] { return now.load(); };
-  CircuitBreaker b(opts);
-
-  ASSERT_TRUE(b.AllowRequest());
-  b.RecordFailure();  // open
-  now.store(1.0);     // cooldown elapsed
-
-  constexpr int kThreads = 8;
-  std::atomic<int> admitted{0};
-  std::atomic<int> arrived{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      // Wave 1: everyone races AllowRequest; nobody records a verdict yet,
-      // so the budget alone decides who got through.
-      const bool got = b.AllowRequest();
-      if (got) admitted.fetch_add(1);
-      arrived.fetch_add(1);
-      while (arrived.load() < kThreads) std::this_thread::yield();
-      // Wave 2: abandon the held probes.
-      if (got) b.RecordAbandoned();
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  EXPECT_EQ(admitted.load(), opts.half_open_max_probes);
-  EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
-  EXPECT_TRUE(b.AllowRequest());  // abandoned probes freed their slots
-  b.RecordFailure();              // one failed probe re-opens
-  EXPECT_EQ(b.state(), BreakerState::kOpen);
-}
-
-// ---------------------------------------------------------------------------
 // Router merge determinism
 // ---------------------------------------------------------------------------
 
@@ -311,7 +237,7 @@ TEST(ClusterServingTest, ShardedTopKIsBitIdenticalToSingleShardAndService) {
   const size_t queries = f.bench.query.features.rows();
   for (size_t q = 0; q < queries; ++q) {
     const Matrix query = f.bench.query.features.RowCopy(q);
-    RequestCost cost;
+    obs::ExplainRecord cost;
     auto from_service = service.value().Query(query, 5);
     auto from_single = single.value().Query(query, 5);
     auto from_sharded = QueryWithCost(sharded.value(), query, 5, &cost);
@@ -404,7 +330,7 @@ TEST(ClusterServingTest, CostVectorsAreSumsOfShardScansUnderStorm) {
 
   const size_t rows = f.bench.query.features.rows();
   const size_t n = 240;
-  std::vector<RequestCost> costs(n);
+  std::vector<obs::ExplainRecord> costs(n);
   std::atomic<uint64_t> served{0};
   ParallelFor(&GlobalThreadPool(), n, [&](size_t i) {
     RequestOptions ro;
@@ -451,7 +377,7 @@ TEST(ClusterServingTest, CostVectorsAreSumsOfShardScansUnderStorm) {
 
   // One request against its shards, scanned one by one.
   const Matrix query = f.bench.query.features.RowCopy(0);
-  RequestCost cost;
+  obs::ExplainRecord cost;
   ASSERT_TRUE(QueryWithCost(service, query, 5, &cost).ok());
   const Matrix embedded = f.model->Embed(query);
   ScanStats shards_sum;
@@ -500,7 +426,7 @@ TEST(ClusterServingTest, KillingOneReplicaOfEveryShardCostsNoQueries) {
   ArmChaos(plan);
 
   for (int i = 0; i < 8; ++i) {
-    RequestCost cost;
+    obs::ExplainRecord cost;
     auto r = QueryWithCost(cluster, query, 3, &cost);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_DOUBLE_EQ(cost.coverage, 1.0);  // zero coverage lost
@@ -558,7 +484,7 @@ TEST(ClusterServingTest, WholeShardDownDegradesToPartialWithExactStats) {
       static_cast<double>(total);  // (N-1)/N of the rows
 
   for (int i = 0; i < 5; ++i) {
-    RequestCost cost;
+    obs::ExplainRecord cost;
     auto r = QueryWithCost(cluster, query, 10, &cost);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_DOUBLE_EQ(cost.coverage, expected_coverage);
@@ -687,7 +613,7 @@ TEST(ClusterServingTest, ChaosStormFlapAndLatencySpikeExactCounters) {
     plan.replica_faults.push_back(flap);
     ArmChaos(plan);
     for (int i = 0; i < 4; ++i) {
-      RequestCost cost;
+      obs::ExplainRecord cost;
       auto r = QueryWithCost(cluster, query, 3, &cost);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       EXPECT_DOUBLE_EQ(cost.coverage, 1.0);
@@ -713,7 +639,7 @@ TEST(ClusterServingTest, ChaosStormFlapAndLatencySpikeExactCounters) {
     ArmChaos(plan);
     RequestOptions req;
     req.deadline = Deadline::After(1.0);
-    RequestCost cost;
+    obs::ExplainRecord cost;
     auto r = QueryWithCost(cluster, query, 3, &cost, req);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_DOUBLE_EQ(cost.coverage, 1.0);

@@ -606,7 +606,8 @@ TEST(FleetObsTest, SlowQueryRingCapturesRemoteSpansWithShardAttribution) {
   const serving::RoutedResult r = router.Search(
       f.queries.row(0), 5, Deadline::After(5.0), {}, &trace, nullptr);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-  serving::MaybeCaptureSlowQuery(&slow_log, r, 0.25, &trace);
+  serving::MaybeCaptureSlowQuery(&slow_log, r, 0.25, &trace,
+                                 serving::ExplainRouted(r));
 
   const auto snapshot = slow_log.Snapshot();
   ASSERT_EQ(snapshot.size(), 1u);
@@ -638,10 +639,11 @@ TEST(FleetObsTest, SlowQueryRingCapturesRemoteSpansWithShardAttribution) {
 
   // Guard rails: sub-threshold, null-log and untraced calls are all safe.
   obs::SlowQueryLog quiet({4, 10.0});
-  serving::MaybeCaptureSlowQuery(&quiet, r, 0.001, &trace);
+  const obs::ExplainRecord explain = serving::ExplainRouted(r);
+  serving::MaybeCaptureSlowQuery(&quiet, r, 0.001, &trace, explain);
   EXPECT_TRUE(quiet.Snapshot().empty());
-  serving::MaybeCaptureSlowQuery(nullptr, r, 1.0, &trace);
-  serving::MaybeCaptureSlowQuery(&slow_log, r, 1.0, nullptr);
+  serving::MaybeCaptureSlowQuery(nullptr, r, 1.0, &trace, explain);
+  serving::MaybeCaptureSlowQuery(&slow_log, r, 1.0, nullptr, explain);
   const auto untraced = slow_log.Snapshot();
   ASSERT_EQ(untraced.size(), 2u);
   EXPECT_EQ(untraced[1].trace_id, 0u);

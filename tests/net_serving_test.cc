@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "src/net/frame.h"
 #include "src/net/server.h"
 #include "src/net/socket.h"
+#include "src/obs/log.h"
 #include "src/serving/router.h"
 #include "src/serving/transport.h"
 #include "src/util/deadline.h"
@@ -387,6 +389,43 @@ TEST(NetServingTest, ByteFlipInFlightIsCaughtByCrcAndMapsToUnavailable) {
       << attempt.status.ToString();
   EXPECT_EQ(client.stats().wire_errors, 1u);
   EXPECT_EQ(NetFaultCountersSnapshot().bytes_flipped, 1u);
+
+  DisarmNetFaults();
+  server.Drain();
+}
+
+// The admin calls share one error path: a corrupt info response is a
+// retryable wire error and logs one `op="get_info"` line, as a corrupt
+// metrics or profile response logs its own op.
+TEST(NetServingTest, CorruptInfoResponseIsLoggedAsGetInfo) {
+  auto f = MakeCluster(1, 1);
+  ShardServer server(f.shards, {});
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<std::string> lines;
+  obs::Logger::Options lo;
+  lo.stream = nullptr;
+  lo.callback = [&lines](const std::string& line) { lines.push_back(line); };
+  obs::Logger logger(lo);
+  RemoteClientOptions co = FastClient();
+  co.logger = &logger;
+  RemoteSearcherClient client({"127.0.0.1", server.port()}, co);
+
+  // Byte 20 is inside the info response's body; the CRC must catch it.
+  NetFaultPlan plan;
+  plan.recv_flip_byte = 20;
+  NetFaultGuard guard(plan);
+  const auto info = client.GetInfo(0, Deadline::After(5.0));
+  EXPECT_EQ(info.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(info.status().message().find("corrupt"), std::string::npos)
+      << info.status().ToString();
+  EXPECT_EQ(client.stats().wire_errors, 1u);
+  EXPECT_EQ(NetFaultCountersSnapshot().bytes_flipped, 1u);
+  size_t get_info_lines = 0;
+  for (const std::string& line : lines) {
+    if (line.find("op=\"get_info\"") != std::string::npos) ++get_info_lines;
+  }
+  EXPECT_EQ(get_info_lines, 1u);
 
   DisarmNetFaults();
   server.Drain();

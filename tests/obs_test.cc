@@ -522,7 +522,7 @@ TEST(ObsRegistryTest, RenderTextExposesAllKinds) {
   MetricsRegistry registry;
   registry.GetCounter(WithLabel("serving_requests_total", "outcome", "served"))
       ->Increment(7);
-  registry.GetGauge("serving_breaker_state")->Set(1.0);
+  registry.GetGauge("serving_queue_depth")->Set(1.0);
   registry.RegisterCallbackGauge("serving_in_flight", []() { return 3.0; });
   Histogram* lat = registry.GetHistogram(
       WithLabel("serving_latency_seconds", "outcome", "served"));
@@ -534,7 +534,7 @@ TEST(ObsRegistryTest, RenderTextExposesAllKinds) {
             std::string::npos);
   EXPECT_NE(text.find("serving_requests_total{outcome=\"served\"} 7"),
             std::string::npos);
-  EXPECT_NE(text.find("# TYPE serving_breaker_state gauge"),
+  EXPECT_NE(text.find("# TYPE serving_queue_depth gauge"),
             std::string::npos);
   EXPECT_NE(text.find("serving_in_flight 3"), std::string::npos);
   EXPECT_NE(text.find("# TYPE serving_latency_seconds summary"),

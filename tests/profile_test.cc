@@ -53,6 +53,7 @@ using net::RemoteSearcherClient;
 using net::ShardServer;
 using net::ShardServerOptions;
 using net::WireProfileResponse;
+using obs::ExplainRecord;
 using obs::PhaseDelta;
 using obs::PhaseSummary;
 using obs::ProfileEntry;
@@ -60,7 +61,6 @@ using obs::ProfilePhase;
 using obs::Profiler;
 using obs::ProfileSnapshot;
 using obs::SloTracker;
-using serving::RequestCost;
 using serving::RequestOptions;
 using serving::RetrievalService;
 using serving::ServiceOptions;
@@ -536,7 +536,7 @@ TEST(ObsProfileServingTest, CostVectorsConserveAgainstSegmentCounters) {
   // hands back, and Counter::Value() sums its shards losslessly.
   const size_t rows = f.bench.query.features.rows();
   const size_t n = 300;
-  std::vector<RequestCost> costs(n);
+  std::vector<ExplainRecord> costs(n);
   std::atomic<uint64_t> served{0};
   ParallelFor(&GlobalThreadPool(), n, [&](size_t i) {
     RequestOptions ro;

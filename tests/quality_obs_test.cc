@@ -515,6 +515,48 @@ TEST(QualityObsTest, SlowQueryRingEvictsOldestAndCounts) {
   EXPECT_EQ(log.evicted_count(), 1u);
 }
 
+// The JSONL line of one record, byte for byte: every explain field has a
+// distinct value, so a renamed, dropped or reordered key fails here.
+TEST(QualityObsTest, SlowQueryJsonlLineIsPinned) {
+  SlowQueryLog log(SlowQueryLog::Options{});
+  SlowQueryRecord rec;
+  rec.kind = "latency";
+  rec.outcome = "ok";
+  rec.trace_id = 0xabc;
+  rec.latency_seconds = 0.25;
+  rec.recall = 0.5;
+  rec.explain.scan.chunks = 1;
+  rec.explain.scan.items = 2;
+  rec.explain.scan.probed_cells = 3;
+  rec.explain.cpu_ns = 4;
+  rec.explain.scan.codes_decoded = 5;
+  rec.explain.scan.lut_builds = 6;
+  rec.explain.scan.shortlist = 7;
+  rec.explain.degraded = true;
+  rec.explain.flat_fallback = true;
+  rec.explain.coverage = 0.75;
+  rec.explain.shards_answered = 8;
+  rec.explain.failovers = 9;
+  obs::Trace::SpanRecord span;
+  span.name = "query";
+  span.parent = -1;
+  span.start_ns = 10;
+  span.end_ns = 11;
+  span.shard = 2;
+  span.remote = true;
+  rec.spans.push_back(span);
+  log.Add(std::move(rec));
+  EXPECT_EQ(log.RenderJsonl(),
+            "{\"id\":0,\"kind\":\"latency\",\"outcome\":\"ok\","
+            "\"trace_id\":\"0000000000000abc\",\"latency_seconds\":0.25,"
+            "\"recall\":0.5,\"explain\":{\"chunks\":1,\"items\":2,"
+            "\"probed_cells\":3,\"cpu_ns\":4,\"codes_decoded\":5,"
+            "\"lut_builds\":6,\"shortlist\":7,\"degraded\":true,"
+            "\"flat_fallback\":true,\"coverage\":0.75,\"shards_answered\":8,"
+            "\"failovers\":9},\"spans\":[{\"name\":\"query\",\"parent\":-1,"
+            "\"start_ns\":10,\"end_ns\":11,\"shard\":2,\"remote\":true}]}\n");
+}
+
 TEST(QualityObsTest, SlowQueryChaosLatencySpikeCapturesTraceAndExplain) {
   ChaosGuard guard;
   auto f = MakeFixture();
@@ -541,8 +583,8 @@ TEST(QualityObsTest, SlowQueryChaosLatencySpikeCapturesTraceAndExplain) {
   EXPECT_EQ(rec.kind, "latency");
   EXPECT_EQ(rec.outcome, "ok");
   EXPECT_GE(rec.latency_seconds, 0.01);
-  EXPECT_GE(rec.explain.chunks, 1u);
-  EXPECT_EQ(rec.explain.items, service.num_items());
+  EXPECT_GE(rec.explain.scan.chunks, 1u);
+  EXPECT_EQ(rec.explain.scan.items, service.num_items());
   EXPECT_FALSE(rec.explain.degraded);
   EXPECT_FALSE(rec.explain.flat_fallback);
   // The internal trace captured the lifecycle spans even though the caller

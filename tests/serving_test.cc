@@ -280,7 +280,7 @@ TEST(RetrievalServiceTest, IvfShortfallDegradesToFlatScan) {
   auto service =
       RetrievalService::Build(f.model, f.bench.database.features, opts);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
-  EXPECT_EQ(service.value().degraded_query_count(), 0u);
+  EXPECT_EQ(service.value().Stats().flat_fallbacks, 0u);
 
   // Asking for every item exceeds what 2 of 10 cells can supply, so the
   // query must be served by the flat fallback — full result set, counter up.
@@ -288,12 +288,12 @@ TEST(RetrievalServiceTest, IvfShortfallDegradesToFlatScan) {
   auto hits = service.value().Query(f.bench.query.features.RowCopy(0), n);
   ASSERT_TRUE(hits.ok());
   EXPECT_EQ(hits.value().size(), n);
-  EXPECT_EQ(service.value().degraded_query_count(), 1u);
+  EXPECT_EQ(service.value().Stats().flat_fallbacks, 1u);
 
   // A small top_k satisfied by the probed cells stays on the fast path.
   auto fast = service.value().Query(f.bench.query.features.RowCopy(1), 3);
   ASSERT_TRUE(fast.ok());
-  EXPECT_EQ(service.value().degraded_query_count(), 1u);
+  EXPECT_EQ(service.value().Stats().flat_fallbacks, 1u);
 }
 
 TEST(RetrievalServiceTest, DriftSelfMonitoringFreezesAfterWarmup) {

@@ -16,14 +16,20 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-${repo_root}/build-asan}"
+source "${repo_root}/tools/ctest_suites.sh"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DLIGHTLT_SANITIZE=address
 cmake --build "${build_dir}" --target lightlt_tests -j "$(nproc)"
 
+suites=(FaultInjectionTest CheckpointTest CheckpointConfigTest BinaryIoTest
+  SerializeTest DataIoTest ScanKernelsTest AdcIndexTest IvfAdcIndexTest
+  PackedCodesTest MatrixTest LightLtModelTest KMeansTest DsqModuleTest
+  OpsForwardTest OpsGradTest ReconstructionDistancesTest RerankServingTest)
+require_suites "${build_dir}" "${suites[@]}"
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1:${ASAN_OPTIONS:-}"
-ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" \
-  -R '^(FaultInjectionTest|CheckpointTest|CheckpointConfigTest|BinaryIoTest|SerializeTest|DataIoTest|ScanKernelsTest|AdcIndexTest|IvfAdcIndexTest|PackedCodesTest|MatrixTest|LightLtModelTest|KMeansTest|DsqModuleTest|OpsForwardTest|OpsGradTest|ReconstructionDistancesTest|RerankServingTest)\.'
+ctest --test-dir "${build_dir}" --output-on-failure --no-tests=error \
+  -j "$(nproc)" -R "$(suites_regex "${suites[@]}")"
 
 echo "Fault-injection suite passed under AddressSanitizer."
